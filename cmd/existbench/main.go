@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -131,25 +132,7 @@ func main() {
 	reports := experiments.RunAll(cfg, ids)
 	total := time.Since(start)
 
-	failures := 0
-	for _, rep := range reports {
-		fmt.Printf("### %s — %s\n", rep.ID, rep.Title)
-		fmt.Printf("### paper: %s\n\n", rep.Paper)
-		if rep.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", rep.ID, rep.Err)
-			failures++
-			continue
-		}
-		fmt.Print(rep.Result.Render())
-		if len(rep.Result.Metrics) > 0 {
-			fmt.Println("headline metrics:")
-			for _, n := range rep.Result.SortedMetrics() {
-				fmt.Printf("  %-36s %.4g\n", n, rep.Result.Metrics[n])
-			}
-		}
-		fmt.Println()
-		fmt.Fprintf(os.Stderr, "%s completed in %v\n", rep.ID, rep.Wall.Round(time.Millisecond))
-	}
+	failures := writeReports(os.Stdout, os.Stderr, reports)
 	fmt.Fprintf(os.Stderr, "total wall time %v (%d experiments, jobs=%d)\n",
 		total.Round(time.Millisecond), len(reports), parallel.Workers(*jobs))
 
@@ -175,6 +158,32 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// writeReports prints each experiment's tables and headline metrics to
+// stdout and its timing (or error) to stderr, returning the number of
+// failed experiments. Stdout carries no host-dependent text, so it is
+// byte-identical for any -jobs and can be diffed against a golden.
+func writeReports(stdout, stderr io.Writer, reports []experiments.RunReport) (failures int) {
+	for _, rep := range reports {
+		fmt.Fprintf(stdout, "### %s — %s\n", rep.ID, rep.Title)
+		fmt.Fprintf(stdout, "### paper: %s\n\n", rep.Paper)
+		if rep.Err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", rep.ID, rep.Err)
+			failures++
+			continue
+		}
+		fmt.Fprint(stdout, rep.Result.Render())
+		if len(rep.Result.Metrics) > 0 {
+			fmt.Fprintln(stdout, "headline metrics:")
+			for _, n := range rep.Result.SortedMetrics() {
+				fmt.Fprintf(stdout, "  %-36s %.4g\n", n, rep.Result.Metrics[n])
+			}
+		}
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stderr, "%s completed in %v\n", rep.ID, rep.Wall.Round(time.Millisecond))
+	}
+	return failures
 }
 
 // runSpecFile loads a scenario document — a file path, or the name of a

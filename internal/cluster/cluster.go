@@ -20,7 +20,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"exist/internal/binary"
@@ -383,9 +386,10 @@ type Node struct {
 	crashes int
 	leaves  int
 	hbSeq   int64
-	// hbFn is the cached heartbeat callback; the renewal loop re-arms the
-	// same closure every beat instead of allocating one per period.
-	hbFn func(now simtime.Time)
+	// lite holds the node's in-flight lite sessions in no particular
+	// order; each session knows its slot, so removal is an O(1) swap
+	// with the last entry.
+	lite []*liteSession
 	// eng is the engine the node's machine runs on: the cluster's shared
 	// engine, or the node's own clock under Config.Jobs parallelism.
 	eng *simtime.Engine
@@ -606,10 +610,44 @@ type resampleItem struct {
 // liteSession is one virtual session in a Lite cluster: bookkeeping and
 // a completion timer, no traced workload.
 type liteSession struct {
-	id     string
-	rec    *sessionRec
-	done   *simtime.Event
+	sessionRec
+	// key is the session's object-store key, "sessions/<id>"; id is a
+	// substring of it.
+	key string
+	id  string
+	// slot is the session's index in its node's lite list.
+	slot int
+	// closed is set once the session resolved. A crash resolves it
+	// early; its completion timer still fires later and finds it closed.
 	closed bool
+}
+
+// liteKeyPrefix prefixes every lite session's object-store key.
+const liteKeyPrefix = "sessions/"
+
+// newLiteSession builds a session record and its key
+// "sessions/<req>/<node>[/rN]", with the ID sharing the key's bytes.
+func newLiteSession(r *TraceRequest, n *Node, attempt int) *liteSession {
+	var key string
+	if attempt > 0 {
+		key = liteKeyPrefix + r.Name + "/" + n.Name + "/r" + strconv.Itoa(attempt)
+	} else {
+		key = liteKeyPrefix + r.Name + "/" + n.Name
+	}
+	return &liteSession{
+		sessionRec: sessionRec{req: r, node: n, attempt: attempt},
+		key:        key,
+		id:         key[len(liteKeyPrefix):],
+	}
+}
+
+// dropLite removes a lite session from its node's in-flight list by
+// moving the last entry into its slot.
+func (n *Node) dropLite(ls *liteSession) {
+	last := n.lite[len(n.lite)-1]
+	n.lite[ls.slot], last.slot = last, ls.slot
+	n.lite[len(n.lite)-1] = nil
+	n.lite = n.lite[:len(n.lite)-1]
 }
 
 // Cluster is the whole deployment.
@@ -648,8 +686,8 @@ type Cluster struct {
 	retryRNG      *xrand.Rand
 	resampleRNG   *xrand.Rand
 	inflight      map[*core.Session]*sessionRec
-	liteInflight  map[string]*liteSession
 	reconcileFn   func(now simtime.Time) // cached periodic-reconcile callback
+	heartbeatFn   func(now simtime.Time) // cached fleet heartbeat tick
 	needResample  []resampleItem
 	pendingUpload []uploadItem
 	batchSeq      int64
@@ -745,20 +783,19 @@ func New(cfg Config) *Cluster {
 		cfg.Shards = 1
 	}
 	c := &Cluster{
-		Cfg:          cfg,
-		Eng:          simtime.NewEngine(),
-		API:          NewAPIServerShards(cfg.Shards),
-		OSS:          NewObjectStoreShards(cfg.Shards),
-		ODPS:         NewDataStoreShards(cfg.Shards),
-		Binaries:     make(map[string]*binary.Program),
-		profiles:     make(map[string]workload.Profile),
-		byName:       make(map[string]*Node),
-		rng:          xrand.Split(cfg.Seed, "cluster"),
-		retryRNG:     xrand.Split(cfg.Seed, "cluster/retry"),
-		resampleRNG:  xrand.Split(cfg.Seed, "cluster/resample"),
-		inflight:     make(map[*core.Session]*sessionRec),
-		liteInflight: make(map[string]*liteSession),
-		Mgmt:         MgmtStats{MemMB: 40}, // the RCO management pod's footprint
+		Cfg:         cfg,
+		Eng:         simtime.NewEngine(),
+		API:         NewAPIServerShards(cfg.Shards),
+		OSS:         NewObjectStoreShards(cfg.Shards),
+		ODPS:        NewDataStoreShards(cfg.Shards),
+		Binaries:    make(map[string]*binary.Program),
+		profiles:    make(map[string]workload.Profile),
+		byName:      make(map[string]*Node),
+		rng:         xrand.Split(cfg.Seed, "cluster"),
+		retryRNG:    xrand.Split(cfg.Seed, "cluster/retry"),
+		resampleRNG: xrand.Split(cfg.Seed, "cluster/resample"),
+		inflight:    make(map[*core.Session]*sessionRec),
+		Mgmt:        MgmtStats{MemMB: 40}, // the RCO management pod's footprint
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
@@ -794,9 +831,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Faults != nil {
 		c.OSS.UseFaults(cfg.Faults)
 		c.ODPS.UseFaults(cfg.Faults)
+		c.scheduleHeartbeats()
 		for _, n := range c.Nodes {
 			n.LeaseUntil = c.Cfg.LeaseTTL
-			c.scheduleHeartbeat(n)
 			c.scheduleCrash(n)
 			c.scheduleChurn(n)
 		}
@@ -971,19 +1008,32 @@ func (c *Cluster) scheduleReconcile() {
 	c.Eng.AfterDetached(c.Cfg.ReconcileEvery, c.reconcileFn)
 }
 
-// scheduleHeartbeat arms one node's lease renewal loop. A down node
+// scheduleHeartbeats arms the fleet's lease renewal tick: one event per
+// HeartbeatEvery that renews every node in index order. A down node
 // skips renewals, so its lease lapses and the controller detects the
 // failure. A gray node's heartbeats leave on time but arrive late: its
 // lease can lapse while the node is alive and working — a false
 // suspicion, the signature of gray failure.
-func (c *Cluster) scheduleHeartbeat(n *Node) {
-	if n.hbFn == nil {
-		n.hbFn = func(now simtime.Time) { c.heartbeat(n, now) }
+//
+// The walk fires exactly what one renewal timer per node would, in the
+// same order: timers armed at the same instant and re-armed every period
+// form, at each beat time, one contiguous (time, seq) run in node order.
+// Each beat touches only its own node (and the commutative
+// FalseSuspicions counter), and the gray arrivals it schedules are armed
+// before the next tick. DESIGN.md §8 has the full argument.
+func (c *Cluster) scheduleHeartbeats() {
+	if c.heartbeatFn == nil {
+		c.heartbeatFn = func(now simtime.Time) {
+			for _, n := range c.Nodes {
+				c.heartbeat(n, now)
+			}
+			c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, c.heartbeatFn)
+		}
 	}
-	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, n.hbFn)
+	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, c.heartbeatFn)
 }
 
-// heartbeat is one beat of a node's lease renewal loop; it re-arms itself.
+// heartbeat is one node's beat of the fleet renewal tick.
 func (c *Cluster) heartbeat(n *Node, now simtime.Time) {
 	if !n.Down {
 		if d := c.Cfg.Faults.HeartbeatDelay(n.Name, n.hbSeq); d > 0 {
@@ -1003,7 +1053,6 @@ func (c *Cluster) heartbeat(n *Node, now simtime.Time) {
 		}
 	}
 	n.hbSeq++
-	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, n.hbFn)
 }
 
 // scheduleCrash arms the node's next injected crash, if crash injection
@@ -1044,16 +1093,11 @@ func (c *Cluster) crashNode(n *Node, now simtime.Time) {
 		s.Cancel() // fires OnDone; finishSession sees lost and re-samples
 	}
 	// Lite sessions on the node die the same way, in session-ID order.
-	var doomedLite []*liteSession
-	for _, ls := range c.liteInflight {
-		if ls.rec.node == n {
-			doomedLite = append(doomedLite, ls)
-		}
-	}
-	sort.Slice(doomedLite, func(i, j int) bool { return doomedLite[i].id < doomedLite[j].id })
+	// Their completion timers stay armed and fire as no-ops.
+	doomedLite := slices.Clone(n.lite)
+	slices.SortFunc(doomedLite, func(a, b *liteSession) int { return strings.Compare(a.id, b.id) })
 	for _, ls := range doomedLite {
-		ls.rec.lost = true
-		ls.done.Cancel()
+		ls.lost = true
 		c.finishLite(ls, now)
 	}
 }
@@ -1403,13 +1447,10 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 // bookkeeping as a real session, with a completion timer in place of a
 // traced workload.
 func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
-	id := fmt.Sprintf("%s/%s", r.Name, n.Name)
-	if attempt > 0 {
-		id = fmt.Sprintf("%s/%s/r%d", r.Name, n.Name, attempt)
-	}
+	ls := newLiteSession(r, n, attempt)
 	r.usedNodes[n.Name] = true
-	ls := &liteSession{id: id, rec: &sessionRec{req: r, node: n, attempt: attempt}}
-	c.liteInflight[id] = ls
+	ls.slot = len(n.lite)
+	n.lite = append(n.lite, ls)
 	// Virtual session length: roughly the request's sampling period,
 	// plus a per-session spread keyed by the session ID so fleet
 	// completions don't all land on one tick and runs stay
@@ -1418,8 +1459,8 @@ func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
 	if base <= 0 {
 		base = 20 * simtime.Millisecond
 	}
-	dur := base + simtime.Duration(hashName(id)%uint64(base))
-	ls.done = c.Eng.After(dur, func(now simtime.Time) { c.finishLite(ls, now) })
+	dur := base + simtime.Duration(hashName(ls.id)%uint64(base))
+	c.Eng.AfterDetached(dur, func(now simtime.Time) { c.finishLite(ls, now) })
 	return nil
 }
 
@@ -1431,26 +1472,25 @@ func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 		return
 	}
 	ls.closed = true
-	delete(c.liteInflight, ls.id)
-	r := ls.rec.req
+	ls.node.dropLite(ls)
+	r := ls.req
 	if r.Phase.Terminal() {
 		return
 	}
-	if ls.rec.lost || c.Cfg.Faults.SessionFate(ls.id) == faults.FateLost {
-		c.loseSlot(r, ls.rec.attempt)
+	if ls.lost || c.Cfg.Faults.SessionFate(ls.id) == faults.FateLost {
+		c.loseSlot(r, ls.attempt)
 		return
 	}
 	// Corruption and truncation don't destroy a lite capture — the blob
 	// is synthetic either way.
-	key := "sessions/" + ls.id
 	blob := []byte(ls.id)
-	c.putWithRetry(r, key, blob, 0, func(ok bool) {
+	c.putWithRetry(r, ls.key, blob, 0, func(ok bool) {
 		if !ok {
-			c.loseSlot(r, ls.rec.attempt)
+			c.loseSlot(r, ls.attempt)
 			return
 		}
 		c.Uploads.Batches++
-		r.SessionKeys = append(r.SessionKeys, key)
+		r.SessionKeys = append(r.SessionKeys, ls.key)
 		c.Mgmt.CPUSeconds += 100e-6
 		if c.replicated() {
 			// The status append is a store write; it pays the shard scan.

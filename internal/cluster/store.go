@@ -11,7 +11,9 @@ import (
 
 // ossShard is one lock domain of the object store: its own blob map,
 // attempt ledger, and mutex. Keys are routed by a stable hash so a key
-// always lands in the same shard regardless of upload order.
+// always lands in the same shard regardless of upload order. The attempt
+// ledger is kept only while the injector can fail a put: with a put
+// probability of zero every attempt succeeds whatever its number.
 type ossShard struct {
 	mu       sync.Mutex
 	blobs    map[string][]byte
@@ -69,12 +71,14 @@ func (o *ObjectStore) UseFaults(inj *faults.Injector) { o.inj = inj }
 func (o *ObjectStore) Put(key string, data []byte) error {
 	s := o.shardFor(key)
 	s.mu.Lock()
-	attempt := s.attempts[key]
-	s.attempts[key] = attempt + 1
-	if err := o.inj.PutError(key, attempt); err != nil {
-		s.mu.Unlock()
-		o.failures.Add(1)
-		return err
+	if o.inj.PutCanFail() {
+		attempt := s.attempts[key]
+		s.attempts[key] = attempt + 1
+		if err := o.inj.PutError(key, attempt); err != nil {
+			s.mu.Unlock()
+			o.failures.Add(1)
+			return err
+		}
 	}
 	o.storeLocked(s, key, data)
 	s.mu.Unlock()
@@ -101,14 +105,16 @@ func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) e
 	if len(keys) != len(blobs) {
 		return fmt.Errorf("oss: PutBatch with %d keys, %d blobs", len(keys), len(blobs))
 	}
-	bs := o.shardFor(batchKey)
-	bs.mu.Lock()
-	attempt := bs.attempts[batchKey]
-	bs.attempts[batchKey] = attempt + 1
-	bs.mu.Unlock()
-	if err := o.inj.PutError(batchKey, attempt); err != nil {
-		o.failures.Add(1)
-		return err
+	if o.inj.PutCanFail() {
+		bs := o.shardFor(batchKey)
+		bs.mu.Lock()
+		attempt := bs.attempts[batchKey]
+		bs.attempts[batchKey] = attempt + 1
+		bs.mu.Unlock()
+		if err := o.inj.PutError(batchKey, attempt); err != nil {
+			o.failures.Add(1)
+			return err
+		}
 	}
 	for i, key := range keys {
 		s := o.shardFor(key)
@@ -231,12 +237,14 @@ func (d *DataStore) UseFaults(inj *faults.Injector) { d.inj = inj }
 func (d *DataStore) Insert(batch string, rows ...Row) error {
 	s := d.shardFor(batch)
 	s.mu.Lock()
-	attempt := s.attempts[batch]
-	s.attempts[batch] = attempt + 1
-	if err := d.inj.InsertError(batch, attempt); err != nil {
-		s.mu.Unlock()
-		d.failures.Add(1)
-		return err
+	if d.inj.InsertCanFail() {
+		attempt := s.attempts[batch]
+		s.attempts[batch] = attempt + 1
+		if err := d.inj.InsertError(batch, attempt); err != nil {
+			s.mu.Unlock()
+			d.failures.Add(1)
+			return err
+		}
 	}
 	s.rows = append(s.rows, rows...)
 	s.mu.Unlock()

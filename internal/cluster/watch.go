@@ -57,8 +57,15 @@ type WatchEvent struct {
 // oldest events are dropped and the stream is marked stale — the
 // consumer must relist to resynchronize, exactly the "resource version
 // too old" contract of a real watch.
+//
+// The buffered events are buf[head:]. Popping advances head and zeroes
+// the vacated slot (so a drained event's Name is not kept alive); the
+// live tail is slid back to the front only once head reaches half the
+// slice, so each event is copied O(1) times on average and the backing
+// array is reused instead of regrown.
 type WatchStream struct {
 	buf   []WatchEvent
+	head  int
 	max   int
 	stale bool
 	// notify, when set, fires each time the buffer goes from empty to
@@ -68,23 +75,32 @@ type WatchStream struct {
 
 // Next pops the oldest buffered event.
 func (w *WatchStream) Next() (WatchEvent, bool) {
-	if len(w.buf) == 0 {
+	if w.head == len(w.buf) {
 		return WatchEvent{}, false
 	}
-	ev := w.buf[0]
-	w.buf = w.buf[1:]
+	ev := w.buf[w.head]
+	w.drop()
 	return ev, true
 }
 
+// drop discards the oldest buffered event.
+func (w *WatchStream) drop() {
+	w.buf[w.head] = WatchEvent{}
+	w.head++
+	if w.head == len(w.buf) {
+		w.buf, w.head = w.buf[:0], 0
+	}
+}
+
 // Len returns the number of buffered events.
-func (w *WatchStream) Len() int { return len(w.buf) }
+func (w *WatchStream) Len() int { return len(w.buf) - w.head }
 
 // peek returns the oldest buffered event without removing it.
 func (w *WatchStream) peek() (WatchEvent, bool) {
-	if len(w.buf) == 0 {
+	if w.head == len(w.buf) {
 		return WatchEvent{}, false
 	}
-	return w.buf[0], true
+	return w.buf[w.head], true
 }
 
 // Stale reports whether events were dropped since the last Reset; the
@@ -94,16 +110,23 @@ func (w *WatchStream) Stale() bool { return w.stale }
 // Reset empties the stream and clears the stale flag (called after a
 // relist resynchronizes the consumer).
 func (w *WatchStream) Reset() {
-	w.buf = w.buf[:0]
+	clear(w.buf[w.head:])
+	w.buf, w.head = w.buf[:0], 0
 	w.stale = false
 }
 
 // push appends an event, dropping the oldest on overflow.
 func (w *WatchStream) push(ev WatchEvent) {
-	wasEmpty := len(w.buf) == 0
-	if w.max > 0 && len(w.buf) >= w.max {
-		w.buf = w.buf[1:]
+	wasEmpty := w.Len() == 0
+	if w.max > 0 && w.Len() >= w.max {
+		w.drop()
 		w.stale = true
+	}
+	if w.head > 0 && w.head >= len(w.buf)/2 && len(w.buf) == cap(w.buf) {
+		// Slide the live tail to the front instead of growing.
+		n := copy(w.buf, w.buf[w.head:])
+		clear(w.buf[n:])
+		w.buf, w.head = w.buf[:n], 0
 	}
 	w.buf = append(w.buf, ev)
 	if wasEmpty && w.notify != nil {

@@ -251,7 +251,7 @@ func (in *Injector) drawN(kind, name string, k int64) *xrand.Rand {
 // decision is keyed by key and attempt number, so a retried Put sees an
 // independent (but reproducible) draw each attempt.
 func (in *Injector) PutError(key string, attempt int) error {
-	if in == nil || in.cfg.PutFailProb <= 0 {
+	if !in.PutCanFail() {
 		return nil
 	}
 	if in.drawN("put", key, int64(attempt)).Bool(in.cfg.PutFailProb) {
@@ -261,9 +261,16 @@ func (in *Injector) PutError(key string, attempt int) error {
 	return nil
 }
 
+// PutCanFail reports whether PutError can fail any attempt. Stores use
+// it to skip per-key attempt bookkeeping that could never matter.
+func (in *Injector) PutCanFail() bool { return in != nil && in.cfg.PutFailProb > 0 }
+
+// InsertCanFail reports whether InsertError can fail any attempt.
+func (in *Injector) InsertCanFail() bool { return in != nil && in.cfg.InsertFailProb > 0 }
+
 // InsertError decides whether one structured-store Insert attempt fails.
 func (in *Injector) InsertError(batch string, attempt int) error {
-	if in == nil || in.cfg.InsertFailProb <= 0 {
+	if !in.InsertCanFail() {
 		return nil
 	}
 	if in.drawN("insert", batch, int64(attempt)).Bool(in.cfg.InsertFailProb) {
@@ -277,7 +284,9 @@ func (in *Injector) InsertError(batch string, attempt int) error {
 // keyed by session ID. At most one fate applies per session; loss
 // dominates corruption dominates truncation.
 func (in *Injector) SessionFate(sessionID string) Fate {
-	if in == nil {
+	if in == nil || (in.cfg.SessionLossProb <= 0 && in.cfg.CorruptProb <= 0 && in.cfg.TruncateProb <= 0) {
+		// No draw can come up true (Bool(p) is Float64() < p), so skip
+		// reseeding the stream.
 		return FateHealthy
 	}
 	rng := in.draw("session", sessionID)

@@ -309,3 +309,68 @@ func TestChurnSchedule(t *testing.T) {
 		t.Fatalf("stats leaves=%d joins=%d, want 2/1", s.Leaves, s.Joins)
 	}
 }
+
+// drawFate is SessionFate without the zero-probability shortcut: it
+// always reseeds the decision stream and draws all three fates.
+func drawFate(in *Injector, id string) Fate {
+	rng := in.draw("session", id)
+	lost := rng.Bool(in.cfg.SessionLossProb)
+	corrupt := rng.Bool(in.cfg.CorruptProb)
+	truncate := rng.Bool(in.cfg.TruncateProb)
+	switch {
+	case lost:
+		in.stats.SessionsLost++
+		return FateLost
+	case corrupt:
+		in.stats.SessionsCorrupted++
+		return FateCorrupted
+	case truncate:
+		in.stats.SessionsTruncated++
+		return FateTruncated
+	}
+	return FateHealthy
+}
+
+// TestSessionFateShortcutMatchesDraw pins that skipping the draw when no
+// session fate can fire changes neither a verdict nor a counter, and
+// that any nonzero session probability still takes the draw path.
+func TestSessionFateShortcutMatchesDraw(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 3, PutFailProb: 0.5, GrayNodeProb: 0.5, CrashMTBF: simtime.Second},
+		{Seed: 3, SessionLossProb: 0.2},
+		{Seed: 3, CorruptProb: 0.2},
+		{Seed: 3, TruncateProb: 0.2},
+		{Seed: 3, SessionLossProb: 0.1, CorruptProb: 0.1, TruncateProb: 0.1},
+	} {
+		fast, ref := New(cfg), New(cfg)
+		for i := 0; i < 500; i++ {
+			id := "req/node-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
+			if got, want := fast.SessionFate(id), drawFate(ref, id); got != want {
+				t.Fatalf("%+v: SessionFate(%s) = %v, draw path %v", cfg, id, got, want)
+			}
+		}
+		if fast.Stats() != ref.Stats() {
+			t.Fatalf("%+v: stats %+v, draw path %+v", cfg, fast.Stats(), ref.Stats())
+		}
+		zero := cfg.SessionLossProb <= 0 && cfg.CorruptProb <= 0 && cfg.TruncateProb <= 0
+		if zero != (fast.scratch == nil) {
+			t.Fatalf("%+v: reseeded=%v; want a draw only when a fate can fire", cfg, fast.scratch != nil)
+		}
+	}
+}
+
+// TestCanFail pins the store-side predicates: true exactly when the
+// matching error probability is positive.
+func TestCanFail(t *testing.T) {
+	var nilInj *Injector
+	if nilInj.PutCanFail() || nilInj.InsertCanFail() {
+		t.Fatal("nil injector can fail")
+	}
+	in := New(Config{Seed: 1, SessionLossProb: 1, CrashMTBF: simtime.Second})
+	if in.PutCanFail() || in.InsertCanFail() {
+		t.Fatal("zero put/insert probabilities can fail")
+	}
+	if !New(Config{PutFailProb: 0.01}).PutCanFail() || !New(Config{InsertFailProb: 0.01}).InsertCanFail() {
+		t.Fatal("positive probability cannot fail")
+	}
+}
