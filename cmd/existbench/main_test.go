@@ -15,40 +15,51 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the committed stdout goldens under testdata/")
 
-// TestControlPlaneStdoutGolden diffs the stdout of
+// TestControlPlaneStdoutGolden diffs the quick-mode stdout of two
+// experiment sets against their committed goldens:
 //
-//	existbench -run chaos,ctrlplane,resilience,fig17 -quick -jobs 1
+//	ctrlplane_quick.golden  existbench -run chaos,ctrlplane,resilience,fig17 -quick -jobs 1
+//	overhead_quick.golden   existbench -run fig13,fig14,fig15,fig16,ablation-control,ablation-drop,ablation-hotswap -quick -jobs 1
 //
-// against the committed golden. Any change to the control plane's event
-// order, fault schedule or ledgers shows up here. A change that is meant
-// to move the output regenerates the golden with
+// The first pins the control plane's event order, fault schedule and
+// ledgers; the second pins the EXIST windows of the overhead and ablation
+// experiments (session harvest, buffer accounting, MSR counts). A change
+// that is meant to move the output regenerates the goldens with
 //
 //	go test ./cmd/existbench -run ControlPlaneStdoutGolden -update
 //
 // and says why in its description.
 func TestControlPlaneStdoutGolden(t *testing.T) {
-	ids, err := selectIDs(false, "chaos,ctrlplane,resilience,fig17")
-	if err != nil {
-		t.Fatal(err)
+	goldens := []struct{ file, ids string }{
+		{"ctrlplane_quick.golden", "chaos,ctrlplane,resilience,fig17"},
+		{"overhead_quick.golden", "fig13,fig14,fig15,fig16,ablation-control,ablation-drop,ablation-hotswap"},
 	}
-	reports := experiments.RunAll(experiments.Config{Quick: true, Seed: 1, Jobs: 1}, ids)
-	var out bytes.Buffer
-	if n := writeReports(&out, io.Discard, reports); n != 0 {
-		t.Fatalf("%d experiments failed", n)
-	}
-	path := filepath.Join("testdata", "ctrlplane_quick.golden")
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != string(want) {
-		t.Fatalf("stdout differs from %s (rerun with -update if the change is intended):\n%s",
-			path, firstDiff(got, string(want)))
+	for _, g := range goldens {
+		t.Run(g.file, func(t *testing.T) {
+			ids, err := selectIDs(false, g.ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports := experiments.RunAll(experiments.Config{Quick: true, Seed: 1, Jobs: 1}, ids)
+			var out bytes.Buffer
+			if n := writeReports(&out, io.Discard, reports); n != 0 {
+				t.Fatalf("%d experiments failed", n)
+			}
+			path := filepath.Join("testdata", g.file)
+			if *update {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.String(); got != string(want) {
+				t.Fatalf("stdout differs from %s (rerun with -update if the change is intended):\n%s",
+					path, firstDiff(got, string(want)))
+			}
+		})
 	}
 }
 

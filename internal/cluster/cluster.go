@@ -1434,7 +1434,10 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 		if c.advancing {
 			// Concurrent node advance: park the completion for the
 			// barrier's replay instead of touching control state from a
-			// node goroutine.
+			// node goroutine. The capture is built here, in parallel
+			// with the other nodes and before any later event on this
+			// node, rather than serially in the barrier's replay.
+			s.Result()
 			n.doneBuf = append(n.doneBuf, doneItem{at: n.eng.Now(), seq: rec.openSeq, rec: rec, s: s})
 			return
 		}

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"exist/internal/ipt"
@@ -148,6 +149,8 @@ type Controller struct {
 	m        *sched.Machine
 	insmodAt simtime.Time
 	insmod   bool
+	// sessions holds the open windows in opening order (the order the
+	// hook's side effects run in); stop removes a window as it closes.
 	sessions []*Session
 }
 
@@ -239,9 +242,6 @@ func (c *Controller) Trace(target *sched.Process, cfg Config) (*Session, error) 
 func (c *Controller) onSwitch(ev sched.SwitchEvent) simtime.Duration {
 	var cost simtime.Duration
 	for _, s := range c.sessions {
-		if !s.active {
-			continue
-		}
 		cost += s.onSwitch(ev)
 	}
 	return cost
@@ -317,7 +317,9 @@ func (s *Session) onSwitch(ev sched.SwitchEvent) simtime.Duration {
 }
 
 // stop closes the window: the HRT expiry handler disables every enabled
-// planned tracer (O(#cores) operations) and snapshots the result.
+// planned tracer (O(#cores) operations) and drops the session from the
+// controller's hook list. The buffers are left as they are; Result
+// materializes them on first request.
 func (s *Session) stop(now simtime.Time) {
 	if !s.active {
 		return
@@ -337,14 +339,15 @@ func (s *Session) stop(now simtime.Time) {
 		tr.Flush()
 	}
 	s.Stats.MSROps = s.bus.Ops
-	s.result = s.snapshot()
+	s.ctrl.sessions = slices.DeleteFunc(s.ctrl.sessions, func(x *Session) bool { return x == s })
 	s.finished = true
 	for _, f := range s.onDone {
 		f(s)
 	}
 }
 
-// snapshot builds the session's trace.Session from the buffers.
+// snapshot builds the session's trace.Session from the buffers without
+// releasing them.
 func (s *Session) snapshot() *trace.Session {
 	out := &trace.Session{
 		ID:       s.Cfg.SessionID,
@@ -365,7 +368,6 @@ func (s *Session) snapshot() *trace.Session {
 			Stopped:      topa.Stopped(),
 			DroppedBytes: topa.Dropped(),
 		})
-		topa.Release()
 	}
 	// Per-thread ablation buffers are appended as extra streams tagged
 	// with a synthetic core ID (they are not per-core).
@@ -382,7 +384,6 @@ func (s *Session) snapshot() *trace.Session {
 			Stopped:      buf.Stopped(),
 			DroppedBytes: buf.Dropped(),
 		})
-		buf.Release()
 	}
 	return out
 }
@@ -391,12 +392,37 @@ func (s *Session) snapshot() *trace.Session {
 // uses this to upload the session to the object store).
 func (s *Session) OnDone(f func(*Session)) { s.onDone = append(s.onDone, f) }
 
-// Result returns the collected session after the window has closed.
+// Result returns the collected session after the window has closed. The
+// first call materializes the buffers and returns them to the pools; later
+// calls return the same *trace.Session.
 func (s *Session) Result() (*trace.Session, error) {
 	if !s.finished {
 		return nil, fmt.Errorf("core: session still active (ends at %v)", s.Start+s.Cfg.Period)
 	}
+	if s.result == nil {
+		s.result = s.snapshot()
+		for _, topa := range s.topas {
+			topa.Release()
+		}
+		for _, buf := range s.perThr {
+			buf.Release()
+		}
+	}
 	return s.result, nil
+}
+
+// SpaceMB returns the session's real-scale memory footprint in MB, equal to
+// Result().SpaceMB() but read from buffer occupancy, so nothing is
+// materialized.
+func (s *Session) SpaceMB() float64 {
+	var used int64
+	for _, cp := range s.Plan.Cores {
+		used += s.topas[cp.Core].Used()
+	}
+	for _, buf := range s.perThr {
+		used += buf.Used()
+	}
+	return trace.UnscaleMB(used, s.Cfg.Scale) + float64(s.log.SizeBytes())/(1<<20)
 }
 
 // Cancel aborts an active session immediately.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -172,6 +173,32 @@ func TestSwitchLogRoundTrip(t *testing.T) {
 		if got.Records[i] != l.Records[i] {
 			t.Fatalf("record %d mismatch", i)
 		}
+	}
+}
+
+// A growing log doubles its capacity, so filling it moves through a
+// handful of arrays whose outgrown ones together hold fewer records than
+// the final one.
+func TestSwitchLogGrowthDoubles(t *testing.T) {
+	const n = 1 << 20
+	l := &SwitchLog{}
+	grows, outgrown := 0, 0
+	for i := 0; i < n; i++ {
+		before := cap(l.Records)
+		l.Add(SwitchRecord{TS: simtime.Time(i), TID: int32(i)})
+		if c := cap(l.Records); c != before {
+			grows++
+			outgrown += before
+		}
+	}
+	if len(l.Records) != n || l.Records[n-1].TID != n-1 {
+		t.Fatalf("log holds %d records, want %d in order", len(l.Records), n)
+	}
+	if want := bits.Len(n/256) + 1; grows > want {
+		t.Fatalf("filling %d records grew the log %d times, want at most %d", n, grows, want)
+	}
+	if c := cap(l.Records); outgrown >= c || c > 2*n {
+		t.Fatalf("final capacity %d for %d records after outgrowing %d", c, n, outgrown)
 	}
 }
 

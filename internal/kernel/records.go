@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"exist/internal/simtime"
 )
@@ -71,8 +72,16 @@ type SwitchLog struct {
 	Records []SwitchRecord
 }
 
-// Add appends a record.
-func (l *SwitchLog) Add(r SwitchRecord) { l.Records = append(l.Records, r) }
+// Add appends a record. A full log doubles its capacity rather than taking
+// append's 1.25x step for large slices: a window logs up to hundreds of
+// thousands of records, and doubling keeps the outgrown arrays together
+// smaller than the final one instead of several times its size.
+func (l *SwitchLog) Add(r SwitchRecord) {
+	if len(l.Records) == cap(l.Records) {
+		l.Records = slices.Grow(l.Records, max(cap(l.Records), 256))
+	}
+	l.Records = append(l.Records, r)
+}
 
 // Bytes returns the wire encoding of the whole log.
 func (l *SwitchLog) Bytes() []byte {

@@ -1,10 +1,13 @@
 package node
 
 import (
+	"runtime"
 	"testing"
 
+	"exist/internal/kernel"
 	"exist/internal/sched"
 	"exist/internal/simtime"
+	"exist/internal/tracer"
 	"exist/internal/workload"
 )
 
@@ -143,5 +146,41 @@ func TestAttachWithoutTarget(t *testing.T) {
 	rt = Provision(Spec{Cores: 4, Seed: 3}) // no backend: tracing disabled
 	if err := rt.Attach(); err != nil {
 		t.Fatalf("backendless attach: %v", err)
+	}
+}
+
+// A harvest that does not keep the session must not materialize the
+// buffers: an 8-core EXIST run then allocates less in total than its
+// buffers hold, which an eager copy (the KeepSession run) cannot.
+func TestHarvestWithoutSessionSkipsBuffers(t *testing.T) {
+	p, err := workload.ByName("mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(keep bool) (alloc, used int64) {
+		spec := Spec{Cores: 8, Timeslice: 1 * simtime.Millisecond, Dur: 500 * simtime.Millisecond,
+			Seed: 1 ^ 17, Workload: p, Backend: "EXIST", KeepSession: keep}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Run(spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Analytic runs are unscaled: the footprint is the buffers'
+		// occupancy plus the five-tuple log.
+		sess := r.Backend.(*tracer.EXIST).CoreSession()
+		used = int64(r.SpaceMB*(1<<20)) - sess.Stats.SwitchRecords*kernel.RecordSize
+		return int64(after.TotalAlloc - before.TotalAlloc), used
+	}
+	alloc, used := run(false)
+	if used < 16<<20 {
+		t.Fatalf("buffers hold only %d bytes; the run is too small to tell", used)
+	}
+	if alloc >= used {
+		t.Errorf("harvest without KeepSession allocated %d bytes, buffers hold %d: the buffers were materialized", alloc, used)
+	}
+	if alloc, used := run(true); alloc < used {
+		t.Errorf("KeepSession run allocated %d bytes < %d buffered; the check cannot see materialization", alloc, used)
 	}
 }

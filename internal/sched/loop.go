@@ -154,8 +154,12 @@ func (m *Machine) dispatch(c *Core, now simtime.Time) {
 		}
 		return
 	}
+	// Pop in place so the backing array is reused: reslicing from the
+	// front would strand capacity and make later appends reallocate.
 	next := c.runq[0]
-	c.runq = c.runq[1:]
+	n := copy(c.runq, c.runq[1:])
+	c.runq[n] = nil
+	c.runq = c.runq[:n]
 	next.queued = false
 	m.contextSwitch(c, next, now)
 }

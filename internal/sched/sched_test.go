@@ -531,3 +531,50 @@ func TestAffinityMaskWideMachine(t *testing.T) {
 		t.Fatal("cores in the second mask word never ran work")
 	}
 }
+
+// TestRunqueuePopKeepsArray drives 100k dispatches on one oversubscribed
+// core. Compute-only threads never block, so the runqueue must serve them
+// in strict FIFO rotation, and popping the head must reuse the queue's
+// backing array instead of sliding off its front and reallocating.
+func TestRunqueuePopKeepsArray(t *testing.T) {
+	const threads, dispatches = 4, 100_000
+	cfg := DefaultConfig()
+	cfg.Cores = 1
+	cfg.HTSiblings = false
+	cfg.Seed = 42
+	cfg.Timeslice = 20 * simtime.Microsecond
+	m := NewMachine(cfg)
+	p := m.AddProcess("rr", nil, CPUSet, []int{0})
+	for i := 0; i < threads; i++ {
+		analytic(m, p, i+1)
+	}
+	c := m.Cores[0]
+	var order []int
+	heads := map[**Thread]bool{} // distinct addresses of the array's first slot
+	maxCap := 0
+	m.SwitchHooks = append(m.SwitchHooks, func(ev SwitchEvent) simtime.Duration {
+		if ev.Next != nil {
+			order = append(order, ev.Next.TID)
+		}
+		if cap(c.runq) > 0 {
+			heads[&c.runq[:cap(c.runq)][0]] = true
+		}
+		maxCap = max(maxCap, cap(c.runq))
+		return 0
+	})
+	m.Run(simtime.Time(dispatches) * cfg.Timeslice * 3 / 2)
+	if len(order) < dispatches {
+		t.Fatalf("only %d dispatches ran, want %d", len(order), dispatches)
+	}
+	for i := threads; i < len(order); i++ {
+		if order[i] != order[i-threads] {
+			t.Fatalf("dispatch %d ran tid %d, want %d (FIFO rotation broken)", i, order[i], order[i-threads])
+		}
+	}
+	if maxCap > 2*threads {
+		t.Fatalf("runqueue capacity grew to %d for %d threads", maxCap, threads)
+	}
+	if len(heads) > 3 {
+		t.Fatalf("runqueue array moved %d times over %d dispatches", len(heads), len(order))
+	}
+}

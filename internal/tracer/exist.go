@@ -12,12 +12,12 @@ import (
 // EXIST adapts core's controller/session lifecycle to the Backend
 // interface so scheme sweeps, the cluster, and the daemon drive EXIST the
 // same way they drive the baselines. Attach opens an HRT-bounded session;
-// the window closes itself, so Stop is a no-op, and the harvest accessors
-// (SpaceMB, MSROps, Session) read the closed session's result.
+// the window closes itself, so Stop only checks that it has. SpaceMB and
+// MSROps read the closed session's counters; only Session materializes the
+// packet bytes.
 type EXIST struct {
 	opts Options
 	sess *core.Session
-	res  *trace.Session
 	err  error
 }
 
@@ -53,29 +53,28 @@ func (e *EXIST) Attach(m *sched.Machine, target *sched.Process) error {
 }
 
 // Stop implements Backend. The session's high-resolution timer closes the
-// window; Stop only resolves the result so the harvest accessors work.
+// window; Stop only records a window that was still open.
 func (e *EXIST) Stop(simtime.Time) {
-	if e.sess == nil || e.res != nil || e.err != nil {
+	if e.sess == nil || !e.sess.Active() {
 		return
 	}
-	res, err := e.sess.Result()
-	if err != nil {
+	// Result of an open window only reports that it is still open.
+	if _, err := e.sess.Result(); err != nil {
 		e.err = fmt.Errorf("EXIST result: %w", err)
-		return
 	}
-	e.res = res
 }
 
 // Err implements ErrBackend: a session whose window had not closed when
 // the run ended surfaces here.
 func (e *EXIST) Err() error { return e.err }
 
-// SpaceMB implements Backend.
+// SpaceMB implements Backend. It reads buffer occupancy, so a harvest that
+// never asks for the Session never materializes the buffers.
 func (e *EXIST) SpaceMB() float64 {
-	if e.res == nil {
+	if e.sess == nil || e.sess.Active() {
 		return 0
 	}
-	return e.res.SpaceMB()
+	return e.sess.SpaceMB()
 }
 
 // MSROps implements MSRBackend.
@@ -87,8 +86,14 @@ func (e *EXIST) MSROps() int64 {
 }
 
 // Session implements SessionBackend (the workload label is already on the
-// session).
-func (e *EXIST) Session(string) *trace.Session { return e.res }
+// session). The first call materializes the closed session's buffers.
+func (e *EXIST) Session(string) *trace.Session {
+	if e.sess == nil {
+		return nil
+	}
+	res, _ := e.sess.Result()
+	return res
+}
 
 // CoreSession exposes the underlying core session for callers that need
 // plan or control-path detail (the daemon's UMA report, cluster tests).

@@ -39,7 +39,11 @@ type Backend interface {
 }
 
 // SessionBackend is implemented by backends that capture a decodable
-// trace.Session (EXIST, NHT). Valid after the window has closed.
+// trace.Session (EXIST, NHT). Session is valid after the window has closed.
+// It is the only accessor that may materialize packet bytes: EXIST builds
+// its trace.Session on the first call and returns that same value on every
+// later one, while Stop, SpaceMB and MSROps read counters only. A harvest
+// that never calls Session never copies a buffer.
 type SessionBackend interface {
 	Backend
 	Session(workload string) *trace.Session
