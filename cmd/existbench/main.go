@@ -335,7 +335,7 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 	}))
 
 	// Simulation-engine hot paths: the walker segment loop end to end, and
-	// the tracer's batched packet-generation path on a canned event stream.
+	// the tracer's production branch entry on recorded walker batches.
 	sb := hotbench.NewSchedBench(1)
 	windowBytes := sb.RunWindow()
 	hot["sched_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
@@ -345,14 +345,14 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 			sb.RunWindow()
 		}
 	}))
-	trEvs := hotbench.Events(hotbench.Program(1), 1, 2_000_000)
+	trBatches := hotbench.Events(hotbench.Program(1), 1, 2_000_000)
 	trHot := hotbench.NewHotTracer(1 << 20)
-	trBytes := hotbench.TracerHotOnce(trHot, trEvs)
+	trBytes := hotbench.TracerHotOnce(trHot, trBatches)
 	hot["tracer_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
 		b.SetBytes(trBytes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hotbench.TracerHotOnce(trHot, trEvs)
+			hotbench.TracerHotOnce(trHot, trBatches)
 		}
 	}))
 

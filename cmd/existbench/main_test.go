@@ -15,16 +15,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the committed stdout goldens under testdata/")
 
-// TestControlPlaneStdoutGolden diffs the quick-mode stdout of two
+// TestControlPlaneStdoutGolden diffs the quick-mode stdout of three
 // experiment sets against their committed goldens:
 //
 //	ctrlplane_quick.golden  existbench -run chaos,ctrlplane,resilience,fig17 -quick -jobs 1
 //	overhead_quick.golden   existbench -run fig13,fig14,fig15,fig16,ablation-control,ablation-drop,ablation-hotswap -quick -jobs 1
+//	trace_quick.golden      existbench -run datapath,fig18,fig19,tab03,acc-bench -quick -jobs 1
 //
 // The first pins the control plane's event order, fault schedule and
 // ledgers; the second pins the EXIST windows of the overhead and ablation
-// experiments (session harvest, buffer accounting, MSR counts). A change
-// that is meant to move the output regenerates the goldens with
+// experiments (session harvest, buffer accounting, MSR counts); the third
+// pins the walker-to-PT-tracer path: the hotbench fixture bytes that
+// datapath prints and the walker-trace accuracy of the decode
+// experiments. A change that is meant to move the output regenerates the
+// goldens with
 //
 //	go test ./cmd/existbench -run ControlPlaneStdoutGolden -update
 //
@@ -33,6 +37,7 @@ func TestControlPlaneStdoutGolden(t *testing.T) {
 	goldens := []struct{ file, ids string }{
 		{"ctrlplane_quick.golden", "chaos,ctrlplane,resilience,fig17"},
 		{"overhead_quick.golden", "fig13,fig14,fig15,fig16,ablation-control,ablation-drop,ablation-hotswap"},
+		{"trace_quick.golden", "datapath,fig18,fig19,tab03,acc-bench"},
 	}
 	for _, g := range goldens {
 		t.Run(g.file, func(t *testing.T) {

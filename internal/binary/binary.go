@@ -542,16 +542,17 @@ type Counters struct {
 	CatHits [NumCategories]int64
 }
 
-// BranchSink receives batches of branch events in execution order. The
-// slice is a view into the walker's internal batch buffer: it is only
+// BranchSink receives batches of branch events in execution order, each
+// with its conditional directions pre-packed in tnt. The slice and the
+// pack are views into the walker's internal batch buffer: they are only
 // valid for the duration of the call and must not be retained.
 type BranchSink interface {
-	EmitBranches(evs []BranchEvent)
+	EmitBranches(evs []BranchEvent, tnt *TNTPack)
 }
 
 // TNTPack carries a batch's conditional-branch directions bit-packed in
 // emission order: bit i is the Taken direction of the i-th TermCond event
-// in the accompanying batch. Sinks that encode TNT packets can consume
+// in the accompanying batch. Sinks that encode TNT packets consume
 // directions straight from the pack instead of re-reading each event.
 type TNTPack struct {
 	Bits [branchBatchSize / 64]uint64
@@ -579,25 +580,6 @@ func (p *TNTPack) Slice(pos, k int) uint64 {
 	return v & (1<<uint(k) - 1)
 }
 
-// PackedBranchSink is a BranchSink that can additionally accept the
-// batch's pre-packed TNT directions. Walkers hand batches to this
-// interface when the sink implements it, letting the TNT encoding path
-// skip per-event direction staging.
-type PackedBranchSink interface {
-	BranchSink
-	EmitBranchesPacked(evs []BranchEvent, tnt *TNTPack)
-}
-
-// funcSink adapts a per-event callback to the batch interface for the
-// legacy Walker.Run signature.
-type funcSink func(BranchEvent)
-
-func (f funcSink) EmitBranches(evs []BranchEvent) {
-	for i := range evs {
-		f(evs[i])
-	}
-}
-
 // branchBatchSize is the walker's emission batch: big enough to amortize
 // the per-batch sink dispatch and the tracer's per-batch setup over many
 // events, small enough (4 KiB of events) to stay cache-resident.
@@ -613,18 +595,16 @@ type Walker struct {
 	stack []BlockID
 	// Count holds the running dynamic statistics. Cycles, Insns and the
 	// event counters (Branches, Syscalls, ...) are live after every
-	// Run/RunBatch; the per-block aggregates (MemOps, CatHits,
+	// RunBatch; the per-block aggregates (MemOps, CatHits,
 	// FuncEntries) are deferred across runs and folded in by Settle.
 	Count Counters
 
 	// batch is the pending emission buffer; events accumulate here and are
 	// handed to the sink branchBatchSize at a time. tnt mirrors the
-	// batch's conditional directions bit-packed; packed is the sink's
-	// PackedBranchSink side when it has one (resolved once per RunBatch).
+	// batch's conditional directions bit-packed.
 	batch    [branchBatchSize]BranchEvent
 	batchLen int
 	tnt      TNTPack
-	packed   PackedBranchSink
 	// visits/touched and funcVisits/funcTouched defer the per-block and
 	// per-function-entry charging of one run: the hot loop records one
 	// counter increment per block, and settleCounters multiplies out the
@@ -659,31 +639,19 @@ func (w *Walker) Current() BlockID { return w.cur }
 // CurrentAddr returns the address of the next block to execute.
 func (w *Walker) CurrentAddr() uint64 { return w.prog.Blocks[w.cur].Addr }
 
-// Run executes blocks until the cycle budget is consumed or a syscall
-// instruction is reached, whichever comes first. Each control transfer is
-// passed to emit (which may be nil for counting-only runs). It returns the
+// RunBatch executes blocks until the cycle budget is consumed or a
+// syscall instruction is reached, whichever comes first. It returns the
 // cycles actually consumed, the stop reason, and — for StopSyscall — the
-// syscall class of the trapping block.
+// syscall class of the trapping block. The cycle accounting is inclusive:
+// the block containing the syscall is fully executed (and charged) before
+// the walker stops.
 //
-// The cycle accounting is inclusive: the block containing the syscall is
-// fully executed (and charged) before the walker stops.
-//
-// Run is the per-event compatibility wrapper over RunBatch; emit receives
-// the same events in the same order, delivered batch by batch.
-func (w *Walker) Run(budget int64, emit func(BranchEvent)) (used int64, reason StopReason, syscallClass uint8) {
-	if emit == nil {
-		return w.RunBatch(budget, nil)
-	}
-	return w.RunBatch(budget, funcSink(emit))
-}
-
-// RunBatch is the batched fast path of Run: control-transfer events
-// accumulate in a fixed-size internal batch and are handed to sink
-// branchBatchSize at a time (and once more at segment end), so the hot
-// loop pays one dynamic dispatch per batch instead of one closure call
-// per event. sink may be nil for counting-only runs. Cycles, Insns and
-// the event counters are live when RunBatch returns; the per-block
-// aggregates stay deferred until Settle.
+// Control-transfer events accumulate in a fixed-size internal batch and
+// are handed to sink, with their TNT pack, branchBatchSize at a time (and
+// once more at segment end), so the hot loop pays one dynamic dispatch per
+// batch instead of one call per event. sink may be nil for counting-only
+// runs. Cycles, Insns and the event counters are live when RunBatch
+// returns; the per-block aggregates stay deferred until Settle.
 func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason StopReason, syscallClass uint8) {
 	p := w.prog
 	if w.visits == nil {
@@ -692,11 +660,6 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 		w.chainVisits = make([]int64, len(p.Blocks))
 	}
 	sup := p.superSteps()
-	if sink != nil {
-		w.packed, _ = sink.(PackedBranchSink)
-	} else {
-		w.packed = nil
-	}
 	blocks := p.Blocks
 	var insns int64
 	for used < budget {
@@ -826,8 +789,8 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 
 // pushEvent appends one event to the pending batch, flushing to the sink
 // when the batch fills. Conditional directions are mirrored into the
-// batch's TNT pack so packed sinks can consume them without re-reading
-// the events.
+// batch's TNT pack so sinks can consume them without re-reading the
+// events.
 func (w *Walker) pushEvent(sink BranchSink, ev BranchEvent) {
 	if ev.Kind == TermCond {
 		w.tnt.push(ev.Taken)
@@ -839,14 +802,10 @@ func (w *Walker) pushEvent(sink BranchSink, ev BranchEvent) {
 	}
 }
 
-// flushBatch hands the pending batch to the sink, via the packed
-// interface when the sink supports it, and resets the batch and pack.
+// flushBatch hands the pending batch and its pack to the sink and resets
+// both.
 func (w *Walker) flushBatch(sink BranchSink) {
-	if w.packed != nil {
-		w.packed.EmitBranchesPacked(w.batch[:w.batchLen], &w.tnt)
-	} else {
-		sink.EmitBranches(w.batch[:w.batchLen])
-	}
+	sink.EmitBranches(w.batch[:w.batchLen], &w.tnt)
 	w.batchLen = 0
 	w.tnt = TNTPack{}
 }

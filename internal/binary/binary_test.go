@@ -7,6 +7,16 @@ import (
 	"exist/internal/xrand"
 )
 
+// eventSink adapts a per-event callback to BranchSink: the tests below
+// check walker behaviour one event at a time.
+type eventSink func(BranchEvent)
+
+func (f eventSink) EmitBranches(evs []BranchEvent, _ *TNTPack) {
+	for i := range evs {
+		f(evs[i])
+	}
+}
+
 func testProgram(t testing.TB, seed uint64) *Program {
 	t.Helper()
 	p := Synthesize(DefaultSpec("testprog", seed))
@@ -72,7 +82,7 @@ func TestWalkerDeterminism(t *testing.T) {
 		w := NewWalker(p, xrand.New(99))
 		var evs []BranchEvent
 		for i := 0; i < 50; i++ {
-			w.Run(10_000, func(e BranchEvent) { evs = append(evs, e) })
+			w.RunBatch(10_000, eventSink(func(e BranchEvent) { evs = append(evs, e) }))
 		}
 		return evs
 	}
@@ -95,7 +105,7 @@ func TestWalkerEventsFollowCFG(t *testing.T) {
 	w := NewWalker(p, xrand.New(1))
 	prev := w.Current()
 	seen := 0
-	emit := func(e BranchEvent) {
+	emit := eventSink(func(e BranchEvent) {
 		seen++
 		b := &p.Blocks[e.Block]
 		switch e.Kind {
@@ -121,9 +131,9 @@ func TestWalkerEventsFollowCFG(t *testing.T) {
 		if e.To != p.Blocks[e.Target].Addr {
 			t.Fatalf("event To=%#x but target block addr=%#x", e.To, p.Blocks[e.Target].Addr)
 		}
-	}
+	})
 	for i := 0; i < 20; i++ {
-		w.Run(5_000, emit)
+		w.RunBatch(5_000, emit)
 	}
 	_ = prev
 	if seen == 0 {
@@ -136,7 +146,7 @@ func TestWalkerCycleAccounting(t *testing.T) {
 	w := NewWalker(p, xrand.New(2))
 	var total int64
 	for i := 0; i < 100; i++ {
-		used, reason, _ := w.Run(1_000, nil)
+		used, reason, _ := w.RunBatch(1_000, nil)
 		if used <= 0 {
 			t.Fatalf("run %d consumed %d cycles", i, used)
 		}
@@ -161,7 +171,7 @@ func TestWalkerSyscallStops(t *testing.T) {
 	w := NewWalker(p, xrand.New(3))
 	sawSyscall := false
 	for i := 0; i < 200 && !sawSyscall; i++ {
-		_, reason, class := w.Run(1_000_000, nil)
+		_, reason, class := w.RunBatch(1_000_000, nil)
 		if reason == StopSyscall {
 			sawSyscall = true
 			if class > 2 {
@@ -174,6 +184,64 @@ func TestWalkerSyscallStops(t *testing.T) {
 	}
 	if w.Count.Syscalls == 0 {
 		t.Fatal("syscall counter not incremented")
+	}
+}
+
+// packCheckSink checks every batch's TNT pack against the batch's events:
+// the tracer encodes conditional directions from the pack alone.
+type packCheckSink struct {
+	t       *testing.T
+	batches int
+	full    int // batches of exactly branchBatchSize events
+}
+
+func (s *packCheckSink) EmitBranches(evs []BranchEvent, tnt *TNTPack) {
+	s.t.Helper()
+	s.batches++
+	if len(evs) == 0 {
+		s.t.Fatalf("batch %d is empty", s.batches)
+	}
+	if len(evs) == branchBatchSize {
+		s.full++
+	}
+	n := 0
+	for i := range evs {
+		if evs[i].Kind != TermCond {
+			continue
+		}
+		if got := tnt.Slice(n, 1) == 1; got != evs[i].Taken {
+			s.t.Fatalf("batch %d: pack bit %d = %v, conditional event %d has Taken=%v",
+				s.batches, n, got, i, evs[i].Taken)
+		}
+		n++
+	}
+	if tnt.N != n {
+		s.t.Fatalf("batch %d: pack holds %d directions, batch has %d conditionals", s.batches, tnt.N, n)
+	}
+	for i := n; i < branchBatchSize; i++ {
+		if tnt.Slice(i, 1) != 0 {
+			s.t.Fatalf("batch %d: stale pack bit %d set past N=%d", s.batches, i, n)
+		}
+	}
+}
+
+func TestWalkerPackMatchesEvents(t *testing.T) {
+	spec := DefaultSpec("pack", 13)
+	spec.SyscallFrac = 0.02
+	p := Synthesize(spec)
+	w := NewWalker(p, xrand.New(7))
+	sink := &packCheckSink{t: t}
+	stops := map[StopReason]int{}
+	for i := 0; i < 400; i++ {
+		budget := int64(500 + 997*(i%50)) // short and long segments
+		_, reason, _ := w.RunBatch(budget, sink)
+		stops[reason]++
+	}
+	if stops[StopBudget] == 0 || stops[StopSyscall] == 0 {
+		t.Fatalf("stops = %v, want both budget and syscall stops", stops)
+	}
+	if sink.full == 0 || sink.full == sink.batches {
+		t.Fatalf("%d of %d batches were full; want both full and partial batches", sink.full, sink.batches)
 	}
 }
 
@@ -232,7 +300,7 @@ func TestFuncEntriesHistogram(t *testing.T) {
 	p := testProgram(t, 11)
 	w := NewWalker(p, xrand.New(4))
 	for i := 0; i < 500; i++ {
-		w.Run(10_000, nil)
+		w.RunBatch(10_000, nil)
 	}
 	w.Settle()
 	if len(w.Count.FuncEntries) == 0 {
@@ -289,14 +357,14 @@ func TestSynthesizeWalkProperty(t *testing.T) {
 		}
 		w := NewWalker(p, xrand.New(seed^0xabcdef))
 		ok := true
-		emit := func(e BranchEvent) {
+		emit := eventSink(func(e BranchEvent) {
 			if e.Block < 0 || int(e.Block) >= len(p.Blocks) ||
 				e.Target < 0 || int(e.Target) >= len(p.Blocks) {
 				ok = false
 			}
-		}
+		})
 		for i := 0; i < int(steps%32)+1; i++ {
-			used, _, _ := w.Run(2_000, emit)
+			used, _, _ := w.RunBatch(2_000, emit)
 			if used <= 0 {
 				return false
 			}
@@ -313,16 +381,16 @@ func BenchmarkWalkerRun(b *testing.B) {
 	w := NewWalker(p, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(10_000, nil)
+		w.RunBatch(10_000, nil)
 	}
 }
 
 func BenchmarkWalkerRunEmitting(b *testing.B) {
 	p := Synthesize(DefaultSpec("bench", 1))
 	w := NewWalker(p, xrand.New(1))
-	sink := func(BranchEvent) {}
+	sink := eventSink(func(BranchEvent) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(10_000, sink)
+		w.RunBatch(10_000, sink)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exist/internal/binary"
+	"exist/internal/hotbench"
 	"exist/internal/ipt"
 	"exist/internal/kernel"
 	"exist/internal/metrics"
@@ -180,11 +181,8 @@ func TestDecodeStreamStandalone(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := binary.NewWalker(prog, xrand.New(5))
-	var want int
-	w.Run(20000, func(ev binary.BranchEvent) {
-		tr.OnBranch(1, ev)
-		want++
-	})
+	w.RunBatch(20000, &hotbench.TracerSink{Tracer: tr, Now: 1})
+	want := int(w.Count.Branches)
 	tr.Flush()
 	res := DecodeStream(prog, nil, 0, tr.Output().Bytes())
 	if res.Events != int64(want) {
@@ -210,8 +208,10 @@ func TestWrappedRingDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := binary.NewWalker(prog, xrand.New(6))
+	sink := &hotbench.TracerSink{Tracer: tr}
 	for i := 0; i < 50; i++ {
-		w.Run(20000, func(ev binary.BranchEvent) { tr.OnBranch(simtime.Time(i), ev) })
+		sink.Now = simtime.Time(i)
+		w.RunBatch(20000, sink)
 	}
 	tr.Flush()
 	out := tr.Output()

@@ -17,6 +17,19 @@ import (
 	"exist/internal/xrand"
 )
 
+// TracerSink feeds walker batches, with their TNT packs, into a tracer's
+// production branch entry, as the scheduler's segment loop does. Now is
+// the timestamp handed to the tracer with each batch.
+type TracerSink struct {
+	Tracer *ipt.Tracer
+	Now    simtime.Time
+}
+
+// EmitBranches implements binary.BranchSink.
+func (s *TracerSink) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPack) {
+	s.Tracer.OnBranchBatch(s.Now, evs, tnt)
+}
+
 // Program synthesizes the benchmark binary. The shape (function count,
 // branch mix) matches a mid-size service profile.
 func Program(seed uint64) *binary.Program {
@@ -39,6 +52,7 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 
 	sess := &trace.Session{ID: "hotbench", Workload: prog.Name, PID: 1, Scale: 1}
 	w := binary.NewWalker(prog, xrand.Split(seed, "hotbench/walk"))
+	sink := &TracerSink{Tracer: tr}
 
 	// Rotate among four threads in ~50k-cycle slices: each slice opens
 	// with a five-tuple record and a context switch (PIP + TSC + PGE), the
@@ -54,9 +68,8 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 		tid := int32(1 + i%tids)
 		sess.Switches.Add(kernel.SwitchRecord{TS: now, CPU: 0, PID: 1, TID: tid, Op: kernel.OpIn})
 		tr.ContextSwitch(now, cr3, w.CurrentAddr())
-		n, _, _ := w.Run(slice, func(ev binary.BranchEvent) {
-			tr.OnBranch(now, ev)
-		})
+		sink.Now = now
+		n, _, _ := w.RunBatch(slice, sink)
 		used += n
 		now += simtime.Time(slice)
 		sess.Switches.Add(kernel.SwitchRecord{TS: now, CPU: 0, PID: 1, TID: tid, Op: kernel.OpOut})
@@ -74,9 +87,10 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 	return sess
 }
 
-// EncodeOnce drives the tracer encode path (the per-branch fast path plus
-// packet emission into a ToPA chain) for one walk of the given budget and
-// returns the bytes produced. Benchmarks call it per iteration.
+// EncodeOnce drives the walker-to-tracer encode path (batched walk, packed
+// TNT folding and staged packet output into a ToPA chain) for one walk of
+// the given budget and returns the bytes produced. Benchmarks call it per
+// iteration.
 func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 	tr := ipt.NewTracer(0)
 	topa := ipt.NewSingleToPA(64 << 20)
@@ -87,7 +101,7 @@ func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 		panic(err)
 	}
 	w := binary.NewWalker(prog, xrand.Split(seed, "hotbench/encode"))
-	sink := &tracerSink{tr: tr}
+	sink := &TracerSink{Tracer: tr}
 	var used int64
 	for used < budget {
 		n, _, _ := w.RunBatch(budget-used, sink)

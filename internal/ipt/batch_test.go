@@ -2,6 +2,7 @@ package ipt
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"exist/internal/binary"
@@ -46,11 +47,38 @@ func newBatchTestTracer(t *testing.T, out *ToPA, ctl uint64) *Tracer {
 	return tr
 }
 
+// tracerDiff compares a reference tracer with one driven through the
+// production entry: trace bytes, Stats, status bits, psbLeft and ToPA
+// accounting. It returns "" when they agree.
+func tracerDiff(ref, got *Tracer) string {
+	if ref.Stats != got.Stats {
+		return fmt.Sprintf("stats diverge:\n per-event %+v\n batched   %+v", ref.Stats, got.Stats)
+	}
+	if ref.Status() != got.Status() {
+		return fmt.Sprintf("status = %#x, want %#x", got.Status(), ref.Status())
+	}
+	if ref.psbLeft != got.psbLeft {
+		return fmt.Sprintf("psbLeft = %d, want %d", got.psbLeft, ref.psbLeft)
+	}
+	ro, gc := ref.Output(), got.Output()
+	if ro.Written() != gc.Written() || ro.Dropped() != gc.Dropped() ||
+		ro.Stopped() != gc.Stopped() || ro.Wrapped() != gc.Wrapped() {
+		return fmt.Sprintf("chain accounting diverges: per-event written=%d dropped=%d stopped=%v wrapped=%v, batched written=%d dropped=%d stopped=%v wrapped=%v",
+			ro.Written(), ro.Dropped(), ro.Stopped(), ro.Wrapped(),
+			gc.Written(), gc.Dropped(), gc.Stopped(), gc.Wrapped())
+	}
+	if !bytes.Equal(ro.Bytes(), gc.Bytes()) {
+		return fmt.Sprintf("trace bytes diverge (len %d vs %d)", len(ro.Bytes()), len(gc.Bytes()))
+	}
+	return ""
+}
+
 // TestOnBranchBatchEquivalence feeds the same event stream through the
-// per-event path and the batched staged-output path and requires identical
-// trace bytes, Stats, status bits, and ToPA accounting — including when the
-// stop-mode chain overflows mid-stream, where the stored/dropped split must
-// land on the same byte.
+// per-event reference model and the production OnBranchBatch (packed
+// batches of at most 128 events, as the walker delivers them) and requires
+// identical trace bytes, Stats, status bits, and ToPA accounting —
+// including when the stop-mode chain overflows mid-stream, where the
+// stored/dropped split must land on the same byte.
 func TestOnBranchBatchEquivalence(t *testing.T) {
 	evs := syntheticEvents(20_000)
 	cases := []struct {
@@ -66,56 +94,58 @@ func TestOnBranchBatchEquivalence(t *testing.T) {
 		{"stop-overflows-multiregion", []int{4096, 2048, 1024}, false, DefaultCtl(), 64},
 		{"stop-no-cyc", []int{8192}, false, DefaultCtl() &^ CtlCYCEn, 128},
 		{"stop-tiny-batches", []int{8192}, false, DefaultCtl(), 7},
-		{"stop-one-big-batch", []int{8192}, false, DefaultCtl(), len(evs)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := newBatchTestTracer(t, NewToPA(tc.sizes, tc.ring), tc.ctl)
 			got := newBatchTestTracer(t, NewToPA(tc.sizes, tc.ring), tc.ctl)
 			for i := range evs {
-				ref.OnBranch(0, evs[i])
+				ref.refOnBranch(0, evs[i])
 			}
-			for i := 0; i < len(evs); i += tc.batch {
-				j := i + tc.batch
-				if j > len(evs) {
-					j = len(evs)
-				}
-				got.OnBranchBatch(0, evs[i:j])
-			}
+			feedBatches(got, 0, evs, tc.batch)
 			ref.Flush()
 			got.Flush()
-			if ref.Stats != got.Stats {
-				t.Errorf("stats diverge:\n per-event %+v\n batched   %+v", ref.Stats, got.Stats)
+			if d := tracerDiff(ref, got); d != "" {
+				t.Error(d)
 			}
-			if ref.Status() != got.Status() {
-				t.Errorf("status = %#x, want %#x", got.Status(), ref.Status())
-			}
-			if ref.psbLeft != got.psbLeft {
-				t.Errorf("psbLeft = %d, want %d", got.psbLeft, ref.psbLeft)
-			}
-			ro, go_ := ref.Output(), got.Output()
-			if ro.Written() != go_.Written() || ro.Dropped() != go_.Dropped() ||
-				ro.Stopped() != go_.Stopped() || ro.Wrapped() != go_.Wrapped() {
-				t.Errorf("chain accounting diverges: per-event written=%d dropped=%d stopped=%v wrapped=%v, batched written=%d dropped=%d stopped=%v wrapped=%v",
-					ro.Written(), ro.Dropped(), ro.Stopped(), ro.Wrapped(),
-					go_.Written(), go_.Dropped(), go_.Stopped(), go_.Wrapped())
-			}
-			if !bytes.Equal(ro.Bytes(), go_.Bytes()) {
-				t.Errorf("trace bytes diverge (len %d vs %d)", len(ro.Bytes()), len(go_.Bytes()))
-			}
-			if tc.ring && go_.Stopped() {
+			if tc.ring && got.Output().Stopped() {
 				t.Error("ring chain stopped")
 			}
-			if !tc.ring && !go_.Stopped() {
+			if !tc.ring && !got.Output().Stopped() {
 				t.Error("stop chain did not overflow; case exercises nothing")
 			}
 		})
 	}
 }
 
+// TestOnBranchBatchStopSweep moves the end of a stop-mode chain across
+// every byte of a window around the first periodic PSB, so the stop lands
+// on each packet kind in turn: a TNT completed inside a conditional run,
+// a short TNT flushed by an indirect transfer, CYC, TIP and the PSB group.
+func TestOnBranchBatchStopSweep(t *testing.T) {
+	evs := syntheticEvents(4_000)
+	for size := 4000; size < 4200; size++ {
+		ref := newBatchTestTracer(t, NewToPA([]int{size}, false), DefaultCtl())
+		got := newBatchTestTracer(t, NewToPA([]int{size}, false), DefaultCtl())
+		for i := range evs {
+			ref.refOnBranch(0, evs[i])
+		}
+		feed(got, 0, evs...)
+		ref.Flush()
+		got.Flush()
+		if d := tracerDiff(ref, got); d != "" {
+			t.Fatalf("%d-byte chain: %s", size, d)
+		}
+		if !got.Output().Stopped() {
+			t.Fatalf("%d-byte chain did not overflow; case exercises nothing", size)
+		}
+	}
+}
+
 // TestOnBranchBatchInterleavedControl checks that batches interleaved with
-// context switches and trace disables stay equivalent to the per-event
-// path: staged state must not leak across control operations.
+// context switches and trace disable/enable cycles stay equivalent to the
+// per-event reference model: staged state must not leak across control
+// operations.
 func TestOnBranchBatchInterleavedControl(t *testing.T) {
 	evs := syntheticEvents(6_000)
 	const cr3 = 0x5000
@@ -140,13 +170,22 @@ func TestOnBranchBatchInterleavedControl(t *testing.T) {
 			if j > len(evs) {
 				j = len(evs)
 			}
-			switch (i / 500) % 3 {
+			switch (i / 500) % 4 {
 			case 0:
 				tr.ContextSwitch(now, cr3, evs[i].From) // filtered in
 			case 1:
 				tr.ContextSwitch(now, 0x9999, evs[i].From) // filtered out
 			case 2:
 				tr.ContextSwitch(now, cr3, evs[i].From)
+			case 3:
+				// Disable (flushes pending TNT, emits PGD), then re-enable
+				// (PSB+ header, PGE) while the context stays filtered in.
+				if err := tr.WriteCtl(now, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.WriteCtl(now, DefaultCtl()|CtlTraceEn); err != nil {
+					t.Fatal(err)
+				}
 			}
 			emit(now, evs[i:j])
 			now += 1000
@@ -154,22 +193,19 @@ func TestOnBranchBatchInterleavedControl(t *testing.T) {
 	}
 	drive(ref, func(now simtime.Time, chunk []binary.BranchEvent) {
 		for i := range chunk {
-			ref.OnBranch(now, chunk[i])
+			ref.refOnBranch(now, chunk[i])
 		}
 	})
 	drive(got, func(now simtime.Time, chunk []binary.BranchEvent) {
-		got.OnBranchBatch(now, chunk)
+		feed(got, now, chunk...)
 	})
 	ref.Flush()
 	got.Flush()
-	if ref.Stats != got.Stats {
-		t.Errorf("stats diverge:\n per-event %+v\n batched   %+v", ref.Stats, got.Stats)
+	if d := tracerDiff(ref, got); d != "" {
+		t.Error(d)
 	}
-	if !bytes.Equal(ref.Output().Bytes(), got.Output().Bytes()) {
-		t.Error("trace bytes diverge")
-	}
-	if got.Stats.FilteredEvents == 0 {
-		t.Error("no events filtered; case exercises nothing")
+	if got.Stats.FilteredEvents == 0 || got.Stats.Disables == 0 {
+		t.Error("no events filtered or no disable; case exercises nothing")
 	}
 }
 

@@ -274,7 +274,7 @@ func TestTracerTNTPacking(t *testing.T) {
 	// Six conditional branches must produce exactly one TNT byte.
 	pattern := []bool{true, false, true, true, false, true}
 	for _, taken := range pattern {
-		tr.OnBranch(10, condEvent(taken))
+		feed(tr, 10, condEvent(taken))
 	}
 	if tr.Stats.TNTs != 1 {
 		t.Fatalf("TNT packets = %d, want 1", tr.Stats.TNTs)
@@ -306,8 +306,8 @@ func TestTracerTNTPacking(t *testing.T) {
 
 func TestTracerIndirectFlushesTNT(t *testing.T) {
 	tr := tracerHarness(t, 1<<16)
-	tr.OnBranch(10, condEvent(true))
-	tr.OnBranch(11, binary.BranchEvent{Kind: binary.TermIndirectJump, From: 0x400010, To: 0x400abc})
+	feed(tr, 10, condEvent(true))
+	feed(tr, 11, binary.BranchEvent{Kind: binary.TermIndirectJump, From: 0x400010, To: 0x400abc})
 	p := NewParser(tr.Output().Bytes())
 	var kinds []PacketKind
 	for {
@@ -333,7 +333,7 @@ func TestTracerCR3Filtering(t *testing.T) {
 	}
 	before := tr.Stats.Bytes
 	for i := 0; i < 100; i++ {
-		tr.OnBranch(21, condEvent(true))
+		feed(tr, 21, condEvent(true))
 	}
 	if tr.Stats.Bytes != before {
 		t.Fatal("filtered branches produced output")
@@ -372,7 +372,7 @@ func TestTracerCR3Filtering(t *testing.T) {
 func TestTracerCompulsoryDrop(t *testing.T) {
 	tr := tracerHarness(t, 64) // tiny buffer: header almost fills it
 	for i := 0; i < 1000; i++ {
-		tr.OnBranch(simtimeAt(i), binary.BranchEvent{Kind: binary.TermIndirectJump, To: 0x400010})
+		feed(tr, simtimeAt(i), binary.BranchEvent{Kind: binary.TermIndirectJump, To: 0x400010})
 	}
 	if !tr.Output().Stopped() {
 		t.Fatal("tiny buffer should have stopped")
@@ -387,7 +387,7 @@ func TestTracerCompulsoryDrop(t *testing.T) {
 
 func TestTracerDisableFlushesAndPGD(t *testing.T) {
 	tr := tracerHarness(t, 1<<16)
-	tr.OnBranch(10, condEvent(true)) // leaves one pending TNT bit
+	feed(tr, 10, condEvent(true)) // leaves one pending TNT bit
 	if err := tr.WriteCtl(11, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestTracerDisableFlushesAndPGD(t *testing.T) {
 func TestTracerPeriodicPSB(t *testing.T) {
 	tr := tracerHarness(t, 1<<20)
 	for i := 0; i < 2000; i++ {
-		tr.OnBranch(simtimeAt(i), binary.BranchEvent{Kind: binary.TermIndirectJump, To: 0x400010})
+		feed(tr, simtimeAt(i), binary.BranchEvent{Kind: binary.TermIndirectJump, To: 0x400010})
 	}
 	if tr.Stats.PSBs < 2 {
 		t.Fatalf("expected periodic PSBs, got %d", tr.Stats.PSBs)
@@ -490,7 +490,7 @@ func TestTracerPTWrite(t *testing.T) {
 
 func TestTracerSwapOutputHot(t *testing.T) {
 	tr := tracerHarness(t, 1<<16)
-	tr.OnBranch(1, condEvent(true)) // pending TNT bit
+	feed(tr, 1, condEvent(true)) // pending TNT bit
 	old := tr.Output()
 	fresh := NewSingleToPA(1 << 16)
 	tr.SwapOutputHot(2, fresh)

@@ -55,9 +55,9 @@ type Tracer struct {
 	scratch []byte
 
 	// Staged-output state, live only inside OnBranchBatch: packets are
-	// encoded into chunk and flushed to the ToPA in stageFlushBytes
-	// pieces, with stageAvail mirroring the chain's remaining acceptance
-	// so status/stat bookkeeping matches the per-packet path exactly.
+	// encoded into chunk and written to the ToPA once at batch end, with
+	// stageAvail mirroring the chain's remaining acceptance so status/stat
+	// bookkeeping matches per-packet emission exactly.
 	chunk       []byte
 	stageAvail  int64
 	stageFailed bool
@@ -65,11 +65,6 @@ type Tracer struct {
 	// Stats accumulates output and control counters.
 	Stats Stats
 }
-
-// stageFlushBytes is the staged-output flush threshold: one ToPA write per
-// ~4 KiB of encoded packets instead of one per packet. It matches the PSB
-// period so a chunk spans at most two sync points.
-const stageFlushBytes = 4096
 
 // NewTracer returns the tracer for a core, disabled and unconfigured.
 func NewTracer(coreID int) *Tracer {
@@ -199,109 +194,23 @@ func (t *Tracer) refreshContext() {
 	}
 }
 
-// OnBranch feeds one retired control transfer to the tracer. This is the
-// hardware fast path: when disabled or filtered out it does nothing; when
-// the output chain has stopped it counts the loss.
-func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
-	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
-		return
-	}
-	if !t.contextOn {
-		t.Stats.FilteredEvents++
-		return
-	}
-	if t.out.Stopped() {
-		t.Stats.DroppedEvents++
-		return
-	}
-	t.curIP = ev.To
-	if ev.Kind == binary.TermCond {
-		if ev.Taken {
-			t.tntBits |= 1 << uint(t.tntLen)
-		}
-		t.tntLen++
-		if t.tntLen == 6 {
-			t.flushTNT()
-		}
-		return
-	}
-	// Indirect transfer: order is TNT flush, optional CYC, then TIP.
-	t.flushTNT()
-	if t.ctl&CtlCYCEn != 0 {
-		t.emitRaw(AppendCYC(t.scratch[:0], 16))
-	}
-	t.emitTIP(PktTIP, ev.To)
-}
-
-// OnBranchBatch feeds a batch of retired control transfers to the tracer:
-// the amortized fast path the walker's batched emission drives. It is
-// byte- and stat-equivalent to calling OnBranch per event, but encodes
-// packets into a staging chunk and writes the chunk to the output chain in
-// stageFlushBytes pieces (and once at batch end) instead of issuing one
-// ToPA write per packet. The chain's remaining acceptance is tracked ahead
-// of the writes, so when output stops mid-batch the stored/dropped split,
-// Stats attribution, and status bits land on exactly the byte the
-// per-packet path would produce. No staged bytes survive the call: between
-// calls the tracer and its ToPA are in the same state as ever.
-func (t *Tracer) OnBranchBatch(now simtime.Time, evs []binary.BranchEvent) {
-	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
-		return
-	}
-	if !t.contextOn {
-		t.Stats.FilteredEvents += int64(len(evs))
-		return
-	}
-	if t.out.Stopped() {
-		t.Stats.DroppedEvents += int64(len(evs))
-		return
-	}
-	t.stageAvail = t.out.Remaining()
-	t.stageFailed = false
-	t.chunk = t.chunk[:0]
-	cyc := t.ctl&CtlCYCEn != 0
-	for i := range evs {
-		if t.stageFailed {
-			// The per-packet path re-checks out.Stopped() before every
-			// event; a failed staged write is that same boundary.
-			t.Stats.DroppedEvents += int64(len(evs) - i)
-			break
-		}
-		ev := &evs[i]
-		t.curIP = ev.To
-		if ev.Kind == binary.TermCond {
-			if ev.Taken {
-				t.tntBits |= 1 << uint(t.tntLen)
-			}
-			t.tntLen++
-			if t.tntLen == 6 {
-				t.stageTNT()
-			}
-			continue
-		}
-		// Indirect transfer: order is TNT flush, optional CYC, then TIP.
-		t.stageTNT()
-		if cyc {
-			p := len(t.chunk)
-			t.chunk = AppendCYC(t.chunk, 16)
-			t.stagePkt(p)
-		}
-		p := len(t.chunk)
-		t.chunk = AppendTIP(t.chunk, PktTIP, ev.To)
-		t.stagePkt(p)
-		t.Stats.TIPs++
-		if len(t.chunk) >= stageFlushBytes {
-			t.flushStage()
-		}
-	}
-	t.flushStage()
-}
-
-// OnBranchBatchPacked is OnBranchBatch for walkers that deliver the
-// batch's conditional directions pre-packed (binary.TNTPack). It is byte-
-// and stat-identical to the unpacked path, but runs of consecutive
-// conditional events consume the pack six directions at a time straight
-// into TNT packets, eliminating the per-branch direction staging.
-func (t *Tracer) OnBranchBatchPacked(now simtime.Time, evs []binary.BranchEvent, pack *binary.TNTPack) {
+// OnBranchBatch feeds one walker batch of retired control transfers to
+// the tracer; tnt holds the batch's conditional directions bit-packed
+// (binary.TNTPack), so runs of consecutive conditionals fold six
+// directions at a time straight into TNT packets. When tracing is
+// disabled or filtered out it does nothing; when the output chain has
+// stopped it counts the loss.
+//
+// Packets are encoded into a staging chunk and written to the output
+// chain once, at batch end, instead of one ToPA write per packet. The
+// chain's remaining acceptance is tracked ahead of that write, so when
+// output stops mid-batch the stored/dropped split, Stats attribution and
+// status bits land on exactly the byte per-packet emission would produce.
+// A walker batch holds at most 128 events of at most 9 staged bytes each
+// plus one PSB group, so the chunk stays small. No staged bytes survive
+// the call: between calls the tracer and its ToPA are in the same state
+// as ever.
+func (t *Tracer) OnBranchBatch(now simtime.Time, evs []binary.BranchEvent, tnt *binary.TNTPack) {
 	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
 		return
 	}
@@ -322,7 +231,7 @@ func (t *Tracer) OnBranchBatchPacked(now simtime.Time, evs []binary.BranchEvent,
 	i := 0
 	for i < n {
 		if t.stageFailed {
-			// The per-packet path re-checks out.Stopped() before every
+			// Per-packet emission re-checks out.Stopped() before every
 			// event; a failed staged write is that same boundary.
 			t.Stats.DroppedEvents += int64(n - i)
 			break
@@ -333,7 +242,7 @@ func (t *Tracer) OnBranchBatchPacked(now simtime.Time, evs []binary.BranchEvent,
 			for j < n && evs[j].Kind == binary.TermCond {
 				j++
 			}
-			done := t.stageTNTRun(pack, ci, j-i)
+			done := t.stageTNTRun(tnt, ci, j-i)
 			ci += done
 			i += done
 			t.curIP = evs[i-1].To
@@ -351,9 +260,6 @@ func (t *Tracer) OnBranchBatchPacked(now simtime.Time, evs []binary.BranchEvent,
 		t.chunk = AppendTIP(t.chunk, PktTIP, ev.To)
 		t.stagePkt(p)
 		t.Stats.TIPs++
-		if len(t.chunk) >= stageFlushBytes {
-			t.flushStage()
-		}
 		i++
 	}
 	t.flushStage()
@@ -364,8 +270,8 @@ func (t *Tracer) OnBranchBatchPacked(now simtime.Time, evs []binary.BranchEvent,
 // their packet first, then whole six-bit packets peel straight off the
 // pack. It returns the number of directions consumed — the full run
 // unless a staged write fails, in which case consumption stops with the
-// event whose direction completed the failing packet, matching the
-// per-event path's drop boundary.
+// event whose direction completed the failing packet, matching the drop
+// boundary of per-packet emission.
 func (t *Tracer) stageTNTRun(pack *binary.TNTPack, at, run int) int {
 	done := 0
 	for done < run {
