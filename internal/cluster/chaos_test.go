@@ -71,7 +71,6 @@ func checkNoLostNoDup(t *testing.T, c *Cluster) {
 // pre-jitter base, so no retry ever waits longer than RetryMaxBackoff.
 func TestBackoffClampedAfterJitter(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) {
-		cfg.Replicas = 0
 		cfg.Nodes = 1
 		cfg.RetryBase = 400 * simtime.Millisecond
 		cfg.RetryMaxBackoff = simtime.Second
@@ -101,7 +100,7 @@ func TestBackoffClampedAfterJitter(t *testing.T) {
 // TestWorkQueue pins FIFO order, add-time dedup, and the rate limiter's
 // deterministic exponential bounds.
 func TestWorkQueue(t *testing.T) {
-	c := liteCluster(t, func(cfg *Config) { cfg.Replicas = 0; cfg.Nodes = 1 })
+	c := liteCluster(t, func(cfg *Config) { cfg.Nodes = 1 })
 	q := newWorkQueue(c, 5*simtime.Millisecond, simtime.Second, nil)
 	q.Add("a")
 	q.Add("b")
@@ -451,7 +450,6 @@ func TestChaosDeterministicForFixedSeed(t *testing.T) {
 // the false suspicions.
 func TestGrayNodesCauseFalseSuspicions(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) {
-		cfg.Replicas = 0
 		cfg.Nodes = 10
 		cfg.Faults = faults.New(faults.Config{
 			Seed:          6,

@@ -122,10 +122,9 @@ type TraceRequest struct {
 	scale      float64
 	cancelling bool
 	deadlineEv *simtime.Event
-	// resampleSlots records lost session slots (by re-sampling attempt)
-	// in the replicated control plane. The record lives on the object —
-	// not in controller memory — so a failed-over leader recovers
-	// outstanding slots from a relist.
+	// resampleSlots records lost session slots (by re-sampling attempt).
+	// The record lives on the object — not in controller memory — so a
+	// failed-over leader recovers outstanding slots from a relist.
 	resampleSlots []int
 	// shard is the API-server shard the object lives in (fixed at
 	// creation by the name hash); seq is its global creation sequence,
@@ -404,11 +403,6 @@ type MgmtStats struct {
 	CPUSeconds float64
 	// MemMB is the management pod's resident memory.
 	MemMB float64
-	// Reconciles counts controller loop iterations.
-	Reconciles int64
-	// Stalls counts reconcile iterations lost to injected controller
-	// stalls.
-	Stalls int64
 	// Retries counts store operations that were re-attempted after a
 	// transient failure.
 	Retries int64
@@ -445,8 +439,7 @@ type MgmtStats struct {
 // per shard: every operation pays a base cost plus a scan over the
 // shard's live objects, which is what sharding amortizes — per-shard
 // tables are smaller by the shard count. These charges are pure ledger
-// (they schedule no events), and the legacy serial reconciler keeps its
-// historical flat charges.
+// (they schedule no events).
 const (
 	// syncBaseCPU is one work-queue sync's fixed cost.
 	syncBaseCPU = 20e-6
@@ -476,8 +469,6 @@ type Config struct {
 	CoresPerNode int
 	// Seed drives all cluster randomness.
 	Seed uint64
-	// ReconcileEvery is the controller loop period.
-	ReconcileEvery simtime.Duration
 
 	// Faults, when non-nil, enables seeded fault injection and the
 	// resilience machinery (leases, deadlines, re-sampling). Strictly
@@ -506,17 +497,15 @@ type Config struct {
 	ResampleMax int
 
 	// UploadBatch, when > 1, coalesces that many finished sessions into
-	// one object-store PUT, amortizing per-upload overhead; partially
-	// filled batches flush at the next reconcile. A batch retries as a
-	// unit with the same backoff as single uploads. 0 or 1 keeps the
-	// one-PUT-per-session behavior (and a bit-identical event timeline).
+	// one object-store PUT, amortizing per-upload overhead; a batch ships
+	// when it fills or uploadFlushAfter after its first session, whichever
+	// comes first. A batch retries as a unit with the same backoff as
+	// single uploads. 0 or 1 keeps one PUT per session and schedules no
+	// flush events.
 	UploadBatch int
 
-	// Replicas, when > 0, replaces the single periodic reconcile loop
-	// with that many controller replicas running lease-based leader
-	// election and a watch-driven work queue. Strictly opt-in: zero
-	// keeps the legacy serial control plane and its exact event
-	// timeline.
+	// Replicas is the number of controller replicas running lease-based
+	// leader election over the watch-driven work queues (default 1).
 	Replicas int
 	// Shards splits the API server (and the range leases, watch streams,
 	// and work queues of the replicated plane) into that many shards
@@ -570,7 +559,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's ten-node evaluation cluster.
 func DefaultConfig() Config {
-	return Config{Nodes: 10, CoresPerNode: 16, Seed: 1, ReconcileEvery: 100 * simtime.Millisecond}
+	return Config{Nodes: 10, CoresPerNode: 16, Seed: 1}
 }
 
 // sessionRec tracks one in-flight session slot for the control plane.
@@ -599,12 +588,6 @@ type doneItem struct {
 	seq int64
 	rec *sessionRec
 	s   *core.Session
-}
-
-// resampleItem is one lost session slot awaiting re-scheduling.
-type resampleItem struct {
-	req     *TraceRequest
-	attempt int
 }
 
 // liteSession is one virtual session in a Lite cluster: bookkeeping and
@@ -670,11 +653,9 @@ type Cluster struct {
 	Uploads UploadStats
 	// Binaries is the binary repository the decoder consults.
 	Binaries map[string]*binary.Program
-	// Controllers are the control-plane replicas (nil in legacy
-	// single-reconciler mode).
+	// Controllers are the control-plane replicas.
 	Controllers []*Controller
-	// Leases is the store-side leader-election record (nil in legacy
-	// mode).
+	// Leases is the store-side leader-election record.
 	Leases *LeaseStore
 	// Readopts samples, in milliseconds, how long each leadership
 	// change took to re-adopt every in-flight request.
@@ -686,12 +667,12 @@ type Cluster struct {
 	retryRNG      *xrand.Rand
 	resampleRNG   *xrand.Rand
 	inflight      map[*core.Session]*sessionRec
-	reconcileFn   func(now simtime.Time) // cached periodic-reconcile callback
 	heartbeatFn   func(now simtime.Time) // cached fleet heartbeat tick
-	needResample  []resampleItem
 	pendingUpload []uploadItem
+	flushEv       *simtime.Event // pending batch's deadline flush
 	batchSeq      int64
 	openSeq       int64
+	pumpRuns      int64 // controller pump runs, the stall injector's index
 	// queueSeq is the cluster-global work-queue enqueue sequence; shard
 	// queues merge pops by it (see queueItem).
 	queueSeq int64
@@ -728,14 +709,11 @@ type uploadItem struct {
 	res  *trace.Session
 }
 
-// New builds a cluster with a shared engine and starts the controller
-// reconcile loop.
+// New builds a cluster with a shared engine and starts its controller
+// replicas.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
 		panic("cluster: invalid config")
-	}
-	if cfg.ReconcileEvery <= 0 {
-		cfg.ReconcileEvery = 100 * simtime.Millisecond
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 200 * simtime.Millisecond
@@ -779,6 +757,9 @@ func New(cfg Config) *Cluster {
 	if cfg.QueueMaxDelay <= 0 {
 		cfg.QueueMaxDelay = simtime.Second
 	}
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 1
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -789,6 +770,7 @@ func New(cfg Config) *Cluster {
 		OSS:         NewObjectStoreShards(cfg.Shards),
 		ODPS:        NewDataStoreShards(cfg.Shards),
 		Binaries:    make(map[string]*binary.Program),
+		Leases:      NewLeaseStore(cfg.Shards),
 		profiles:    make(map[string]workload.Profile),
 		byName:      make(map[string]*Node),
 		rng:         xrand.Split(cfg.Seed, "cluster"),
@@ -838,19 +820,9 @@ func New(cfg Config) *Cluster {
 			c.scheduleChurn(n)
 		}
 	}
-	if cfg.Replicas > 0 {
-		// Replicated control plane: leader-elected controllers drive the
-		// work; no periodic serial reconcile loop runs.
-		c.Leases = NewLeaseStore(cfg.Shards)
-		c.startControllers()
-		return c
-	}
-	c.scheduleReconcile()
+	c.startControllers()
 	return c
 }
-
-// replicated reports whether the replicated control plane is active.
-func (c *Cluster) replicated() bool { return c.Cfg.Replicas > 0 }
 
 // parallel reports whether node machines run on per-node engines.
 func (c *Cluster) parallel() bool { return c.Cfg.Jobs > 1 && !c.Cfg.Lite }
@@ -932,7 +904,7 @@ func (c *Cluster) Run(until simtime.Time) {
 // node, synchronously, at the control clock's current time. Node →
 // control: a session window closes on the node's clock and its OnDone
 // callback resolves the slot on the control plane. Everything else is
-// node-local (machine scheduling, tracing) or control-local (reconciles,
+// node-local (machine scheduling, tracing) or control-local (syncs,
 // heartbeats, retries, stores).
 //
 // Both edges are honored by never letting any clock run past the next
@@ -997,17 +969,6 @@ func (c *Cluster) runParallel(until simtime.Time) {
 	}
 }
 
-// scheduleReconcile arms the periodic controller loop.
-func (c *Cluster) scheduleReconcile() {
-	if c.reconcileFn == nil {
-		c.reconcileFn = func(now simtime.Time) {
-			c.reconcile(now)
-			c.Eng.AfterDetached(c.Cfg.ReconcileEvery, c.reconcileFn)
-		}
-	}
-	c.Eng.AfterDetached(c.Cfg.ReconcileEvery, c.reconcileFn)
-}
-
 // scheduleHeartbeats arms the fleet's lease renewal tick: one event per
 // HeartbeatEvery that renews every node in index order. A down node
 // skips renewals, so its lease lapses and the controller detects the
@@ -1033,9 +994,15 @@ func (c *Cluster) scheduleHeartbeats() {
 	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, c.heartbeatFn)
 }
 
-// heartbeat is one node's beat of the fleet renewal tick.
+// heartbeat is one node's beat of the fleet renewal tick. A down node's
+// lease that lapsed since the previous tick is the control plane's
+// detection of the crash, counted once as a lease expiry.
 func (c *Cluster) heartbeat(n *Node, now simtime.Time) {
-	if !n.Down {
+	if n.Down {
+		if n.LeaseUntil <= now && n.LeaseUntil > now-c.Cfg.HeartbeatEvery {
+			c.Mgmt.LeaseExpiries++
+		}
+	} else {
 		if d := c.Cfg.Faults.HeartbeatDelay(n.Name, n.hbSeq); d > 0 {
 			c.Eng.AfterDetached(d, func(arrived simtime.Time) {
 				if n.Down {
@@ -1139,56 +1106,6 @@ func (c *Cluster) scheduleChurn(n *Node) {
 	})
 }
 
-// reconcile is the controller body: it moves Pending requests to Running
-// by opening node sessions, re-samples lost sessions onto healthy nodes,
-// and charges management CPU.
-func (c *Cluster) reconcile(now simtime.Time) {
-	c.Mgmt.Reconciles++
-	if c.Cfg.Faults.StallReconcile(c.Mgmt.Reconciles) {
-		// Injected controller stall: the iteration burns its base cost
-		// but does no work. Requests simply wait for the next loop.
-		c.Mgmt.Stalls++
-		c.Mgmt.CPUSeconds += 50e-6
-		return
-	}
-	// Loop cost: list + status updates; grows with active requests.
-	active := 0
-	for _, r := range c.API.List() {
-		if r.Phase == PhaseRunning {
-			active++
-		}
-	}
-	c.Mgmt.CPUSeconds += (50e-6) + float64(active)*20e-6
-
-	// Failure detection: count lease expiries of nodes not yet marked.
-	if c.Cfg.Faults != nil {
-		for _, n := range c.Nodes {
-			if n.Down && n.LeaseUntil <= now && n.LeaseUntil > now-c.Cfg.ReconcileEvery {
-				c.Mgmt.LeaseExpiries++
-			}
-		}
-	}
-
-	for _, r := range c.API.List() {
-		if r.Phase.Terminal() {
-			continue
-		}
-		c.armDeadline(r, now)
-		if r.Phase != PhasePending {
-			continue
-		}
-		if err := c.start(r, now); err != nil {
-			c.terminate(r, PhaseFailed, err.Error())
-		}
-	}
-
-	// Ship any partially filled upload batch so finished sessions never
-	// wait more than one reconcile period.
-	c.flushUploads()
-
-	c.processResamples(now)
-}
-
 // armDeadline schedules the request's terminal deadline once. Deadlines
 // default on only under fault injection; a fault-free cluster arms one
 // only when the spec asks for it.
@@ -1234,22 +1151,6 @@ func (c *Cluster) terminate(r *TraceRequest, phase Phase, msg string) {
 		r.deadlineEv = nil
 	}
 	c.API.setPhase(r, phase, msg)
-}
-
-// start opens the node sessions for one request (legacy serial path).
-func (c *Cluster) start(r *TraceRequest, now simtime.Time) error {
-	period, scale, selected, retry, err := c.plan(r, now)
-	if err != nil {
-		return err
-	}
-	if retry {
-		// Every host's lease has lapsed; stay Pending and let a later
-		// reconcile (or the deadline) resolve the request.
-		return nil
-	}
-	c.record(r, period, scale, selected)
-	c.API.setPhase(r, PhaseRunning, "")
-	return c.openPlanned(r, selected)
 }
 
 // plan computes one request's temporal decision (period), space scale,
@@ -1342,18 +1243,16 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 	return period, scale, selected, false, nil
 }
 
-// record stores the plan on the request object.
-func (c *Cluster) record(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) {
+// launch is the start commit: the caller already won the Pending →
+// Running CAS, so recording the plan and opening the sessions here can
+// never race another replica. Under fault injection an unreachable node
+// is a survivable event: the slot stays pending and is routed to
+// re-sampling.
+func (c *Cluster) launch(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) error {
 	r.period = period
 	r.scale = scale
 	r.Planned = len(selected)
 	r.usedNodes = make(map[string]bool)
-}
-
-// openPlanned opens the request's planned sessions. Under fault
-// injection an unreachable node is a survivable event: the slot stays
-// pending and is routed to re-sampling.
-func (c *Cluster) openPlanned(r *TraceRequest, selected []*Node) error {
 	for _, n := range selected {
 		if err := c.openSession(r, n, 0); err != nil {
 			if c.Cfg.Faults == nil {
@@ -1368,26 +1267,13 @@ func (c *Cluster) openPlanned(r *TraceRequest, selected []*Node) error {
 	return nil
 }
 
-// launch is the replicated-plane start commit: the caller already won
-// the Pending → Running CAS, so recording the plan and opening the
-// sessions here can never race another replica.
-func (c *Cluster) launch(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) error {
-	c.record(r, period, scale, selected)
-	return c.openPlanned(r, selected)
-}
-
-// loseSlot routes one lost session slot to re-sampling. The legacy
-// plane queues it in controller memory for the next reconcile; the
-// replicated plane records it on the request object (so it survives
-// failover) and lets the watch event wake the leader.
+// loseSlot routes one lost session slot to re-sampling. The slot is
+// recorded on the request object, so it survives failover, and the
+// store write's watch event wakes the leader.
 func (c *Cluster) loseSlot(r *TraceRequest, attempt int) {
-	if c.replicated() {
-		r.resampleSlots = append(r.resampleSlots, attempt)
-		c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
-		c.API.Touch(r)
-		return
-	}
-	c.needResample = append(c.needResample, resampleItem{req: r, attempt: attempt})
+	r.resampleSlots = append(r.resampleSlots, attempt)
+	c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
+	c.API.Touch(r)
 }
 
 // openSession opens one tracing session on a node for a request. attempt
@@ -1495,54 +1381,12 @@ func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 		c.Uploads.Batches++
 		r.SessionKeys = append(r.SessionKeys, ls.key)
 		c.Mgmt.CPUSeconds += 100e-6
-		if c.replicated() {
-			// The status append is a store write; it pays the shard scan.
-			c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
-		}
+		// The status append is a store write; it pays the shard scan.
+		c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
 		c.Uploads.Sessions++
 		c.Uploads.WireBytes += int64(len(blob))
 		c.sessionDone(r)
 	})
-}
-
-// processResamples reschedules lost session slots onto healthy nodes —
-// RCO's spatial sampler re-run over the repetitions that still hold. A
-// slot whose re-sampling budget is exhausted (or that has no healthy
-// untraced repetition left) is given up, degrading the request to partial
-// coverage instead of failing it.
-func (c *Cluster) processResamples(now simtime.Time) {
-	if len(c.needResample) == 0 {
-		return
-	}
-	queue := c.needResample
-	c.needResample = nil
-	for _, it := range queue {
-		r := it.req
-		if r.Phase.Terminal() || r.cancelling {
-			continue
-		}
-		if it.attempt >= c.Cfg.ResampleMax {
-			c.giveUpSlot(r)
-			continue
-		}
-		reps := c.replacementCandidates(r, now)
-		idx := coverage.SelectReplacements(reps, r.usedNodes, 1, c.resampleRNG)
-		if len(idx) == 0 {
-			// No healthy untraced repetition this round; burn one attempt
-			// and retry next reconcile so a recovering node can pick the
-			// slot up, without spinning forever.
-			c.needResample = append(c.needResample, resampleItem{req: r, attempt: it.attempt + 1})
-			continue
-		}
-		n, _ := c.Node(reps[idx[0]].Node)
-		if err := c.openSession(r, n, it.attempt+1); err != nil {
-			c.needResample = append(c.needResample, resampleItem{req: r, attempt: it.attempt + 1})
-			continue
-		}
-		r.Resampled++
-		c.Mgmt.Resamples++
-		c.Mgmt.CPUSeconds += 50e-6
-	}
 }
 
 // replacementCandidates lists the request's app repetitions with their
@@ -1641,11 +1485,16 @@ func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
 		res:  res,
 	}
 	if c.Cfg.UploadBatch > 1 {
-		// Batched data path: hold the blob until the batch fills (or the
-		// next reconcile flushes the remainder).
+		// Batched data path: hold the blob until the batch fills or its
+		// first session has waited uploadFlushAfter.
 		c.pendingUpload = append(c.pendingUpload, it)
 		if len(c.pendingUpload) >= c.Cfg.UploadBatch {
 			c.flushUploads()
+		} else if c.flushEv == nil {
+			c.flushEv = c.Eng.After(uploadFlushAfter, func(simtime.Time) {
+				c.flushEv = nil
+				c.flushUploads()
+			})
 		}
 		return
 	}
@@ -1668,10 +1517,8 @@ func (c *Cluster) uploadLanded(it uploadItem) {
 	r.SessionKeys = append(r.SessionKeys, it.key)
 	// Per-session management cost: upload bookkeeping and status update.
 	c.Mgmt.CPUSeconds += 100e-6
-	if c.replicated() {
-		// The status append is a store write; it pays the shard scan.
-		c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
-	}
+	// The status append is a store write; it pays the shard scan.
+	c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
 	c.Uploads.Sessions++
 	c.Uploads.WireBytes += int64(len(it.blob))
 	c.Uploads.V1Bytes += int64(trace.V1Size(it.res))
@@ -1691,10 +1538,16 @@ func (c *Cluster) uploadLanded(it uploadItem) {
 	c.sessionDone(r)
 }
 
-// flushUploads ships the pending batch in one object-store PUT.
+// uploadFlushAfter bounds how long a partially filled upload batch
+// holds its first session before shipping.
+const uploadFlushAfter = 100 * simtime.Millisecond
+
+// flushUploads ships the pending batch in one object-store PUT and
+// disarms its deadline flush.
 func (c *Cluster) flushUploads() {
-	if len(c.pendingUpload) == 0 {
-		return
+	if c.flushEv != nil {
+		c.flushEv.Cancel()
+		c.flushEv = nil
 	}
 	items := c.pendingUpload
 	c.pendingUpload = nil

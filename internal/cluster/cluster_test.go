@@ -194,8 +194,10 @@ func TestManagementOverheadSmall(t *testing.T) {
 	if c.Mgmt.MemMB != 40 {
 		t.Fatalf("management memory = %v", c.Mgmt.MemMB)
 	}
-	if c.Mgmt.Reconciles < 10 {
-		t.Fatalf("reconciles = %d", c.Mgmt.Reconciles)
+	// The plane is watch-driven, not polled: one sync per watch event of
+	// the request (filed, Running, Completed).
+	if c.Mgmt.Syncs != 3 {
+		t.Fatalf("syncs = %d, want 3", c.Mgmt.Syncs)
 	}
 }
 

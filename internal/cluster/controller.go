@@ -94,9 +94,6 @@ func (ct *Controller) QueueDepth() int {
 // election safety demands this never exceeds one; chaos experiments
 // sample it continuously.
 func (c *Cluster) ActiveLeaders(now simtime.Time) int {
-	if c.Leases == nil {
-		return 0
-	}
 	n := 0
 	for _, ct := range c.Controllers {
 		for s, own := range ct.owned {
@@ -113,9 +110,6 @@ func (c *Cluster) ActiveLeaders(now simtime.Time) int {
 // would pass its fencing check at now. Range-lease safety demands this
 // never exceeds one per shard.
 func (c *Cluster) ActiveOwnersShard(si int, now simtime.Time) int {
-	if c.Leases == nil {
-		return 0
-	}
 	n := 0
 	for _, ct := range c.Controllers {
 		if si < len(ct.owned) && ct.owned[si] && c.Leases.ValidForShard(si, ct.Name, ct.tokens[si], now) {
@@ -128,9 +122,6 @@ func (c *Cluster) ActiveOwnersShard(si int, now simtime.Time) int {
 // ShardRebalances returns how many times shard ownership changed hands
 // after each shard's first election (takeovers and handbacks).
 func (c *Cluster) ShardRebalances() int {
-	if c.Leases == nil {
-		return 0
-	}
 	return c.Leases.Failovers()
 }
 
@@ -407,9 +398,9 @@ func (ct *Controller) backlog() bool {
 // pump is an owner's work loop: drain the owned shards' watch streams
 // into their queues (relisting a shard whose stream went stale), sync up
 // to QueueBurst items popped in global FIFO order across the owned
-// queues, flush any batched uploads, and re-arm while backlog remains.
-// A pump on a replica owning nothing is a no-op; a deposed owner is
-// fenced per shard by the store before it can act on that shard.
+// queues, and re-arm while backlog remains. A pump on a replica owning
+// nothing is a no-op; a deposed owner is fenced per shard by the store
+// before it can act on that shard.
 func (ct *Controller) pump(now simtime.Time) {
 	c := ct.c
 	if ct.down || ct.nOwned == 0 {
@@ -419,6 +410,15 @@ func (ct *Controller) pump(now simtime.Time) {
 		// Partitioned mid-ownership: keep the backlog and retry after a
 		// tick; if the partition outlives the leases other replicas take
 		// the shards over and this backlog is superseded by their relists.
+		ct.pumpArmed = true
+		ct.rearmPump(c.Cfg.QueueTick)
+		return
+	}
+	c.pumpRuns++
+	if c.Cfg.Faults.StallPump(c.pumpRuns) {
+		// Injected controller stall: the run burns its base cost but
+		// syncs nothing; the backlog waits for the next tick.
+		c.Mgmt.CPUSeconds += syncBaseCPU
 		ct.pumpArmed = true
 		ct.rearmPump(c.Cfg.QueueTick)
 		return
@@ -490,7 +490,6 @@ func (ct *Controller) pump(now simtime.Time) {
 		name, _ := ct.queues[best].Pop()
 		ct.sync(name, now)
 	}
-	c.flushUploads()
 	if ct.backlog() {
 		ct.pumpArmed = true
 		ct.rearmPump(c.Cfg.QueueTick)

@@ -99,9 +99,12 @@ func TestFleetHeartbeatCrashEquivalence(t *testing.T) {
 // timers, which stay armed, later fire without touching any counter.
 func TestLiteCrashLosesOnlyNodeSessions(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) {
-		cfg.Replicas = 0
 		cfg.Nodes = 4
 		cfg.Faults = faults.New(faults.Config{Seed: 3})
+		// A slow pump (dispatch latency and re-arm tick) keeps the lost
+		// slots recorded until every window has closed.
+		cfg.QueueLatency = 50 * simtime.Millisecond
+		cfg.QueueTick = 50 * simtime.Millisecond
 	})
 	// Filed out of name order; the first three all land on node-1.
 	for _, f := range []struct{ name, node string }{
@@ -114,9 +117,12 @@ func TestLiteCrashLosesOnlyNodeSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first reconcile (t = 100 ms) opens every session; their
-	// windows close in [120 ms, 140 ms).
-	c.Run(100 * simtime.Millisecond)
+	// The first pump (t = 50 ms, one dispatch latency after the filing
+	// events) opens every session; their windows close in [70, 90) ms.
+	c.Run(50 * simtime.Millisecond)
+	if c.Mgmt.Syncs != 4 {
+		t.Fatalf("syncs = %d after the first pump, want 4", c.Mgmt.Syncs)
+	}
 	crashed, _ := c.Node("node-1")
 	survivor, _ := c.Node("node-2")
 	if len(crashed.lite) != 3 || len(survivor.lite) != 1 {
@@ -128,26 +134,33 @@ func TestLiteCrashLosesOnlyNodeSessions(t *testing.T) {
 		}
 	}
 
+	// A lost slot is a store write on its request: the watch feed shows
+	// the crash's losses in the order they were recorded.
+	w := c.API.WatchStream(16, nil)
+	drain := func() string {
+		var order []string
+		for ev, ok := w.Next(); ok; ev, ok = w.Next() {
+			r, _ := c.API.Get(ev.Name)
+			order = append(order, fmt.Sprintf("%s %s%v", ev.Name, ev.Phase, r.resampleSlots))
+		}
+		return fmt.Sprint(order)
+	}
 	c.crashNode(crashed, c.Eng.Now())
 	if len(crashed.lite) != 0 || len(survivor.lite) != 1 {
 		t.Fatalf("after crash: node-1 %d, node-2 %d in flight; want 0 and 1", len(crashed.lite), len(survivor.lite))
 	}
-	lostSlots := func() string {
-		var order []string
-		for _, it := range c.needResample {
-			order = append(order, fmt.Sprintf("%s#%d", it.req.Name, it.attempt))
-		}
-		return fmt.Sprint(order)
-	}
-	if got := lostSlots(); got != "[r-a#0 r-b#0 r-c#0]" {
+	if got := drain(); got != "[r-a Running[0] r-b Running[0] r-c Running[0]]" {
 		t.Fatalf("lost slots %s; want node-1's sessions in ID order", got)
 	}
 
-	// Past every window close but before the next reconcile: the stale
-	// timers fire as no-ops, and only the survivor's session lands.
-	c.Run(199 * simtime.Millisecond)
-	if got := lostSlots(); got != "[r-a#0 r-b#0 r-c#0]" {
-		t.Fatalf("after the stale timers fired, lost slots are %s", got)
+	// Past every window close but before the next pump: the stale timers
+	// fire as no-ops, and only the survivor's session lands.
+	c.Run(99 * simtime.Millisecond)
+	if got := drain(); got != "[r-z Completed[]]" {
+		t.Fatalf("after the stale timers fired, the watch feed shows %s", got)
+	}
+	if c.Mgmt.Syncs != 4 {
+		t.Fatalf("syncs = %d before the second pump, want 4", c.Mgmt.Syncs)
 	}
 	if c.Uploads.Sessions != 1 || c.OSS.Puts() != 1 || len(survivor.lite) != 0 {
 		t.Fatalf("uploads=%d puts=%d survivor in flight=%d; want 1, 1, 0",
@@ -155,9 +168,9 @@ func TestLiteCrashLosesOnlyNodeSessions(t *testing.T) {
 	}
 	for _, name := range []string{"r-a", "r-b", "r-c"} {
 		r, _ := c.API.Get(name)
-		if len(r.SessionKeys) != 0 || r.Lost != 0 || r.Resampled != 0 {
-			t.Fatalf("%s: keys=%v lost=%d resampled=%d after its session was lost",
-				name, r.SessionKeys, r.Lost, r.Resampled)
+		if len(r.SessionKeys) != 0 || r.Lost != 0 || r.Resampled != 0 || fmt.Sprint(r.resampleSlots) != "[0]" {
+			t.Fatalf("%s: keys=%v lost=%d resampled=%d slots=%v after its session was lost",
+				name, r.SessionKeys, r.Lost, r.Resampled, r.resampleSlots)
 		}
 	}
 	if r, _ := c.API.Get("r-z"); fmt.Sprint(r.SessionKeys) != "[sessions/r-z/node-2]" {

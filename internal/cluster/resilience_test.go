@@ -202,7 +202,7 @@ func TestDeadlineForcesTerminalPhase(t *testing.T) {
 	if !strings.Contains(req.Message, "deadline") {
 		t.Fatalf("message = %q", req.Message)
 	}
-	if c.Mgmt.Stalls == 0 {
+	if c.Cfg.Faults.Stats().Stalls == 0 {
 		t.Fatal("no stalls recorded")
 	}
 }

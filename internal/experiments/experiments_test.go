@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -90,5 +91,44 @@ func TestHeadlineShapes(t *testing.T) {
 	if !(m["nht_factor"] > m["ebpf_factor"] && m["ebpf_factor"] > m["stasam_factor"] && m["stasam_factor"] > 1.5) {
 		t.Errorf("baseline ordering broken: StaSam %.1fx, eBPF %.1fx, NHT %.1fx",
 			m["stasam_factor"], m["ebpf_factor"], m["nht_factor"])
+	}
+}
+
+// TestControlPlaneShapes asserts the paper's orchestration claims on the
+// default-config clusters in quick mode: RCO's management CPU stays under
+// 3e-3 cores and under one permille per node at thousand-node scale
+// (Figure 17), sessions reach the object store, and upload batching
+// issues fewer PUTs than one PUT per session.
+func TestControlPlaneShapes(t *testing.T) {
+	cfg := Config{Quick: true, Seed: 1}
+	fig17, err := runFig17(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fig17.Metrics
+	if m["mgmt_cores"] >= 3e-3 {
+		t.Errorf("fig17 management CPU %.2e cores, want < 3e-3", m["mgmt_cores"])
+	}
+	if m["oss_puts"] <= 0 {
+		t.Errorf("fig17 uploaded no sessions")
+	}
+	permille := -1.0
+	for _, row := range fig17.Tables[0].Rows {
+		if strings.HasPrefix(row[0], "extrapolated management") {
+			if _, err := fmt.Sscanf(row[1][strings.Index(row[1], "(")+1:], "%f permille/node", &permille); err != nil {
+				t.Fatalf("parse extrapolation %q: %v", row[1], err)
+			}
+		}
+	}
+	if permille < 0 || permille >= 1 {
+		t.Errorf("fig17 per-node extrapolation %.3f permille, want in [0, 1)", permille)
+	}
+
+	dp, err := runDatapath(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single, batched := dp.Metrics["puts_single"], dp.Metrics["puts_batched"]; !(batched < single) {
+		t.Errorf("datapath batching: %v PUTs batched vs %v single, want fewer", batched, single)
 	}
 }

@@ -23,7 +23,7 @@ func TestNilInjector(t *testing.T) {
 	if f := in.SessionFate("s"); f != FateHealthy {
 		t.Fatalf("fate = %v", f)
 	}
-	if in.StallReconcile(1) {
+	if in.StallPump(1) {
 		t.Fatal("nil injector stalled")
 	}
 	if _, ok := in.NextCrash("n", 0); ok {
@@ -68,7 +68,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 		if f := in.SessionFate("s"); f != FateHealthy {
 			t.Fatalf("fate = %v", f)
 		}
-		if in.StallReconcile(int64(i)) {
+		if in.StallPump(int64(i)) {
 			t.Fatal("stalled")
 		}
 	}
