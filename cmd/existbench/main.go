@@ -307,7 +307,8 @@ type datapathStats struct {
 // measureHotPaths runs the hot-path microbenchmarks on the shared
 // hotbench fixtures and measures the wire-format sizes. marshal_hot and
 // unmarshal_hot are the throughput-optimized v2 raw mode (the *_packed
-// variants trade CPU for the wire-size win reported in datapath).
+// variants trade CPU for the wire-size win reported in datapath); the
+// v1 size comes from trace.V1Size, since only v2 is written.
 func measureHotPaths() (map[string]benchResult, datapathStats) {
 	hot := map[string]benchResult{}
 	const budget = 4_000_000
@@ -368,18 +369,15 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 			}
 		}))
 	}
-	bench("marshal_v1", func() { decSess.MarshalV1() })
 	bench("marshal_hot", func() { decSess.MarshalMode(trace.EncodeRaw) })
 	bench("marshal_hot_packed", func() { decSess.Marshal() })
-	v1Blob := decSess.MarshalV1()
 	rawBlob := decSess.MarshalMode(trace.EncodeRaw)
 	packedBlob := decSess.Marshal()
-	bench("unmarshal_v1", func() { trace.UnmarshalSession(v1Blob) })
 	bench("unmarshal_hot", func() { trace.UnmarshalSession(rawBlob) })
 	bench("unmarshal_hot_packed", func() { trace.UnmarshalSession(packedBlob) })
 
 	dp := datapathStats{
-		V1Bytes:       int64(len(v1Blob)),
+		V1Bytes:       v1Bytes,
 		V2RawBytes:    int64(len(rawBlob)),
 		V2PackedBytes: int64(len(packedBlob)),
 	}

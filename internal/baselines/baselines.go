@@ -94,9 +94,6 @@ func (s *StaSam) Stop(simtime.Time) { s.active = false }
 // SpaceMB implements Scheme.
 func (s *StaSam) SpaceMB() float64 { return s.samples * s.SampleBytes / (1 << 20) }
 
-// Samples returns the expected sample count so far.
-func (s *StaSam) Samples() float64 { return s.samples }
-
 // EBPF models bpftrace attached to the sys_enter tracepoint.
 type EBPF struct {
 	// EventBytes is the per-event output record size.

@@ -66,7 +66,7 @@ func TestStaSamOverheadMagnitude(t *testing.T) {
 		t.Fatalf("StaSam overhead = %.4f, want single-digit (~3%%)", over)
 	}
 	ss := s.(*StaSam)
-	if ss.Samples() == 0 || ss.SpaceMB() <= 0 {
+	if ss.samples == 0 || ss.SpaceMB() <= 0 {
 		t.Fatal("StaSam accounting missing")
 	}
 }
@@ -74,11 +74,11 @@ func TestStaSamOverheadMagnitude(t *testing.T) {
 func TestStaSamStopsSampling(t *testing.T) {
 	_, s := computeRun(t, func() Scheme { return NewStaSam() })
 	ss := s.(*StaSam)
-	before := ss.Samples()
+	before := ss.samples
 	// Stopped scheme must not accumulate further (no machine to run, but
 	// the hook path is checked directly).
 	ss.Stop(0)
-	if ss.Samples() != before {
+	if ss.samples != before {
 		t.Fatal("Stop changed counters")
 	}
 }

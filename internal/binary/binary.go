@@ -267,7 +267,7 @@ type Program struct {
 // block whose terminator needs per-visit handling (a branch, call, return,
 // or syscall). The walker charges a whole chain with one pre-summed step
 // instead of one step per block; the chain's block-level aggregates are
-// recovered at Settle time by re-walking it once per distinct chain.
+// recovered at settleCounters time by re-walking it once per distinct chain.
 type superStep struct {
 	cycles int64   // summed Cycles of the chain's n blocks
 	insns  int64   // summed Insns of the chain's n blocks
@@ -329,11 +329,6 @@ func (p *Program) BlockAt(addr uint64) (BlockID, bool) {
 	})
 	id, ok := p.addrIndex[addr]
 	return id, ok
-}
-
-// FuncOf returns the function containing block id.
-func (p *Program) FuncOf(id BlockID) *Func {
-	return &p.Funcs[p.Blocks[id].Func]
 }
 
 // EntryFuncOf reports whether block id is some function's entry block,
@@ -500,16 +495,6 @@ type BranchEvent struct {
 	Taken bool
 }
 
-// IsIndirect reports whether the event requires a TIP packet (target not
-// statically known).
-func (e BranchEvent) IsIndirect() bool {
-	switch e.Kind {
-	case TermIndirectJump, TermIndirectCall, TermReturn:
-		return true
-	}
-	return false
-}
-
 // StopReason says why a Walker run segment ended.
 type StopReason uint8
 
@@ -596,7 +581,7 @@ type Walker struct {
 	// Count holds the running dynamic statistics. Cycles, Insns and the
 	// event counters (Branches, Syscalls, ...) are live after every
 	// RunBatch; the per-block aggregates (MemOps, CatHits,
-	// FuncEntries) are deferred across runs and folded in by Settle.
+	// FuncEntries) are deferred across runs and folded in by settleCounters.
 	Count Counters
 
 	// batch is the pending emission buffer; events accumulate here and are
@@ -633,9 +618,6 @@ func NewWalker(p *Program, rng *xrand.Rand) *Walker {
 	}
 }
 
-// Current returns the block the walker will execute next.
-func (w *Walker) Current() BlockID { return w.cur }
-
 // CurrentAddr returns the address of the next block to execute.
 func (w *Walker) CurrentAddr() uint64 { return w.prog.Blocks[w.cur].Addr }
 
@@ -651,7 +633,7 @@ func (w *Walker) CurrentAddr() uint64 { return w.prog.Blocks[w.cur].Addr }
 // once more at segment end), so the hot loop pays one dynamic dispatch per
 // batch instead of one call per event. sink may be nil for counting-only
 // runs. Cycles, Insns and the event counters are live when RunBatch
-// returns; the per-block aggregates stay deferred until Settle.
+// returns; the per-block aggregates stay deferred until settleCounters.
 func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason StopReason, syscallClass uint8) {
 	p := w.prog
 	if w.visits == nil {
@@ -812,20 +794,14 @@ func (w *Walker) flushBatch(sink BranchSink) {
 
 // finishRun flushes the pending event batch; every RunBatch exit path
 // goes through it. Deferred aggregates are left pending — short segments
-// re-touch the same working set, so settling per simulation (Settle)
-// rather than per segment charges each distinct block once, not once per
+// re-touch the same working set, so settling once (settleCounters) rather
+// than per segment charges each distinct block once, not once per
 // timeslice.
 func (w *Walker) finishRun(sink BranchSink) {
 	if w.batchLen > 0 {
 		w.flushBatch(sink)
 	}
 }
-
-// Settle folds the deferred per-block visit counts into the aggregate
-// counters (MemOps, CatHits, FuncEntries). Call it before reading those
-// fields. Integer sums are associative, so the totals are bit-identical
-// to per-visit charging no matter how many runs a settle spans.
-func (w *Walker) Settle() { w.settleCounters() }
 
 // settleCounters multiplies the accumulated per-block visit counts into
 // the cumulative counters and resets the pending sets.

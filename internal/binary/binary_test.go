@@ -103,7 +103,7 @@ func TestWalkerDeterminism(t *testing.T) {
 func TestWalkerEventsFollowCFG(t *testing.T) {
 	p := testProgram(t, 5)
 	w := NewWalker(p, xrand.New(1))
-	prev := w.Current()
+	prev := w.cur
 	seen := 0
 	emit := eventSink(func(e BranchEvent) {
 		seen++
@@ -302,7 +302,7 @@ func TestFuncEntriesHistogram(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		w.RunBatch(10_000, nil)
 	}
-	w.Settle()
+	w.settleCounters()
 	if len(w.Count.FuncEntries) == 0 {
 		t.Fatal("no function entries recorded")
 	}

@@ -141,7 +141,7 @@ func TestWorkQueue(t *testing.T) {
 // TestWatchStreamOverflowForcesRelist pins the bounded-buffer contract:
 // a slow consumer loses oldest events, is marked stale, and must relist.
 func TestWatchStreamOverflowForcesRelist(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	kicks := 0
 	w := a.WatchStream(3, func() { kicks++ })
 	for i := 0; i < 5; i++ {
@@ -178,7 +178,7 @@ func TestWatchStreamOverflowForcesRelist(t *testing.T) {
 // TestCASPhaseConflict pins the optimistic-concurrency contract on
 // phase transitions.
 func TestCASPhaseConflict(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	r, err := a.Create("r", TraceRequestSpec{App: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -203,28 +203,28 @@ func TestCASPhaseConflict(t *testing.T) {
 // other acquirers, every fresh acquisition changes the fencing token,
 // and a deposed holder's token is rejected.
 func TestLeaseStoreFencing(t *testing.T) {
-	ls := &LeaseStore{}
-	tok0, ok := ls.TryAcquire("ctrl-0", 0, 400*simtime.Millisecond)
+	ls := NewLeaseStore(1)
+	tok0, ok := ls.TryAcquireShard(0, "ctrl-0", 0, 400*simtime.Millisecond)
 	if !ok {
 		t.Fatal("first acquire failed")
 	}
-	if _, ok := ls.TryAcquire("ctrl-1", 100*simtime.Millisecond, 400*simtime.Millisecond); ok {
+	if _, ok := ls.TryAcquireShard(0, "ctrl-1", 100*simtime.Millisecond, 400*simtime.Millisecond); ok {
 		t.Fatal("acquired over a valid lease")
 	}
 	// Renewal keeps the token.
-	tokR, ok := ls.TryAcquire("ctrl-0", 200*simtime.Millisecond, 400*simtime.Millisecond)
+	tokR, ok := ls.TryAcquireShard(0, "ctrl-0", 200*simtime.Millisecond, 400*simtime.Millisecond)
 	if !ok || tokR != tok0 {
 		t.Fatalf("renewal token %d, want %d", tokR, tok0)
 	}
 	// Expiry lets a challenger in with a new token; the old one fences.
-	tok1, ok := ls.TryAcquire("ctrl-1", 700*simtime.Millisecond, 400*simtime.Millisecond)
+	tok1, ok := ls.TryAcquireShard(0, "ctrl-1", 700*simtime.Millisecond, 400*simtime.Millisecond)
 	if !ok || tok1 == tok0 {
 		t.Fatalf("failover token %d after %d", tok1, tok0)
 	}
-	if ls.ValidFor("ctrl-0", tok0, 800*simtime.Millisecond) {
+	if ls.ValidForShard(0, "ctrl-0", tok0, 800*simtime.Millisecond) {
 		t.Fatal("deposed holder still valid")
 	}
-	if !ls.ValidFor("ctrl-1", tok1, 800*simtime.Millisecond) {
+	if !ls.ValidForShard(0, "ctrl-1", tok1, 800*simtime.Millisecond) {
 		t.Fatal("new holder not valid")
 	}
 	if ls.Failovers() != 1 {
@@ -232,7 +232,7 @@ func TestLeaseStoreFencing(t *testing.T) {
 	}
 	// Same-holder re-acquire after a lapse still refreshes the token, so
 	// callbacks from the dead incarnation stay fenced.
-	tok2, _ := ls.TryAcquire("ctrl-1", 2*simtime.Second, 400*simtime.Millisecond)
+	tok2, _ := ls.TryAcquireShard(0, "ctrl-1", 2*simtime.Second, 400*simtime.Millisecond)
 	if tok2 == tok1 {
 		t.Fatal("token survived a lapse")
 	}
@@ -522,7 +522,7 @@ func TestPartitionedLeaderIsFenced(t *testing.T) {
 	// Partition the leader for well over the lease TTL.
 	leader.partitionedUntil = c.Eng.Now() + 2*simtime.Second
 	c.Run(c.Eng.Now() + simtime.Second)
-	holder, _ := c.Leases.Holder()
+	holder, _ := c.Leases.HolderShard(0)
 	if holder == leader.Name {
 		t.Fatalf("partitioned leader %s still holds the lease", holder)
 	}

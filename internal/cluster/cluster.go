@@ -169,9 +169,6 @@ type APIServer struct {
 	evSeq    int64 // global event sequence, merges watch drains
 }
 
-// NewAPIServer returns an empty single-shard API server.
-func NewAPIServer() *APIServer { return NewAPIServerShards(1) }
-
 // NewAPIServerShards returns an empty API server with n shards
 // (n < 1 is treated as 1).
 func NewAPIServerShards(n int) *APIServer {

@@ -35,7 +35,6 @@ type Controller struct {
 	owned  []bool
 	nOwned int
 	tokens []int64
-	token  int64 // shard 0's token, kept for the single-shard surface
 
 	watches []*WatchStream
 	queues  []*workQueue
@@ -60,12 +59,6 @@ type Controller struct {
 	electedAt   []simtime.Time
 	readoptOpen []bool
 }
-
-// Leader reports whether this replica currently believes it owns at
-// least one shard. The store's lease records are the authority; a
-// deposed replica may briefly believe until its next store contact
-// fences it.
-func (ct *Controller) Leader() bool { return ct.leader }
 
 // OwnedShards returns the shards this replica currently believes it
 // owns, ascending.
@@ -320,7 +313,6 @@ func (ct *Controller) electTick(now simtime.Time) {
 		ct.tokens[s] = token
 		newly = append(newly, s)
 	}
-	ct.token = ct.tokens[0]
 	ct.leader = ct.nOwned > 0
 	if len(newly) > 0 {
 		ct.becomeLeader(newly, now)

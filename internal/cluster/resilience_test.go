@@ -264,7 +264,7 @@ func TestCancelThenDelete(t *testing.T) {
 }
 
 func TestAPIServerDeleteGuards(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	if err := a.Delete("ghost"); err == nil {
 		t.Fatal("deleting a missing request should fail")
 	}

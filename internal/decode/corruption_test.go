@@ -119,11 +119,11 @@ func TestResyncRecoversStreamTail(t *testing.T) {
 		pos := int(float64(len(data)) * frac)
 		mut := append([]byte(nil), data...)
 		faults.FlipBits(mut[pos:pos+64], 16, uint64(pos))
-		full := DecodeStream(prog, &sess.Switches, 0, mut)
+		full := Decode(&trace.Session{Switches: sess.Switches, Cores: []trace.CoreTrace{{Data: mut}}}, prog)
 		if full.Resyncs == 0 {
 			continue // flips landed without a parse error; try another spot
 		}
-		cut := DecodeStream(prog, &sess.Switches, 0, mut[:pos])
+		cut := Decode(&trace.Session{Switches: sess.Switches, Cores: []trace.CoreTrace{{Data: mut[:pos]}}}, prog)
 		if full.Events <= cut.Events {
 			t.Fatalf("resync at %.0f%% recovered nothing: full %d events, cut %d",
 				frac*100, full.Events, cut.Events)
@@ -142,7 +142,7 @@ func TestResyncCapBoundsErrorsOnGarbage(t *testing.T) {
 	data := append([]byte(nil), sess.Cores[0].Data...)
 	// Heavy corruption: one flip every ~32 bytes.
 	faults.FlipBits(data, len(data)/32, 1234)
-	res := DecodeStream(prog, &sess.Switches, 0, data)
+	res := Decode(&trace.Session{Switches: sess.Switches, Cores: []trace.CoreTrace{{Data: data}}}, prog)
 	if res.Resyncs > maxResyncs {
 		t.Fatalf("resyncs = %d over cap %d", res.Resyncs, maxResyncs)
 	}

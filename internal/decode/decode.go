@@ -67,7 +67,8 @@ func newResult() *Result {
 	}
 }
 
-// Merge folds other into r (used by the cluster-level trace augmentation).
+// Merge folds other into r (coverage.Merge uses it to combine per-worker
+// decodes into the augmented trace).
 func (r *Result) Merge(other *Result) {
 	for tid, evs := range other.ByThread {
 		r.ByThread[tid] = append(r.ByThread[tid], evs...)
@@ -148,21 +149,6 @@ func Decode(s *trace.Session, prog *binary.Program) *Result {
 	}
 	flushVisits(res, prog, visits)
 	slices.SortStableFunc(segs, func(a, b *segment) int { return cmp.Compare(a.ts, b.ts) })
-	gatherByThread(res, segs)
-	return res
-}
-
-// DecodeStream reconstructs a single core's packet buffer (exported for
-// tests and tools).
-func DecodeStream(prog *binary.Program, log *kernel.SwitchLog, core int, data []byte) *Result {
-	res := newResult()
-	if log == nil {
-		log = &kernel.SwitchLog{}
-	}
-	idx := buildSidecar(log)
-	visits := make([]int64, len(prog.Blocks))
-	segs := decodeStream(res, prog, idx, visits, core, data, false)
-	flushVisits(res, prog, visits)
 	gatherByThread(res, segs)
 	return res
 }

@@ -184,7 +184,7 @@ func TestDecodeStreamStandalone(t *testing.T) {
 	w.RunBatch(20000, &hotbench.TracerSink{Tracer: tr, Now: 1})
 	want := int(w.Count.Branches)
 	tr.Flush()
-	res := DecodeStream(prog, nil, 0, tr.Output().Bytes())
+	res := Decode(&trace.Session{Cores: []trace.CoreTrace{{Data: tr.Output().Bytes()}}}, prog)
 	if res.Events != int64(want) {
 		t.Fatalf("decoded %d events, walker emitted %d (errors: %v)", res.Events, want, res.Errors)
 	}

@@ -43,11 +43,11 @@ func runDatapath(cfg Config) (*Result, error) {
 	for _, seed := range []uint64{1, 2} {
 		prog := hotbench.Program(seed)
 		s := hotbench.Session(prog, seed, budget)
-		v1 := s.MarshalV1()
+		v1 := trace.V1Size(s)
 		raw := s.MarshalMode(trace.EncodeRaw)
 		packed := s.Marshal()
 		// Every encoding must reproduce the session exactly.
-		for _, blob := range [][]byte{v1, raw, packed} {
+		for _, blob := range [][]byte{raw, packed} {
 			got, err := trace.UnmarshalSession(blob)
 			if err != nil {
 				return nil, fmt.Errorf("fixture %d roundtrip: %w", seed, err)
@@ -58,11 +58,11 @@ func runDatapath(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		ratio := float64(len(v1)) / float64(len(packed))
+		ratio := float64(v1) / float64(len(packed))
 		t.AddRow(fmt.Sprintf("hot-%d", seed),
-			fmt.Sprintf("%d", len(v1)), fmt.Sprintf("%d", len(raw)),
+			fmt.Sprintf("%d", v1), fmt.Sprintf("%d", len(raw)),
 			fmt.Sprintf("%d", len(packed)), fmt.Sprintf("%.2fx", ratio))
-		totalV1 += int64(len(v1))
+		totalV1 += int64(v1)
 		totalPacked += int64(len(packed))
 	}
 	t.Notes = append(t.Notes,

@@ -15,19 +15,12 @@ func marshalFixture(b *testing.B) *trace.Session {
 	return Session(prog, 1, 4_000_000)
 }
 
-// BenchmarkMarshalHot measures session serialization across wire
-// formats. SetBytes is the v1-equivalent payload in every variant so the
+// BenchmarkMarshalHot measures session serialization in both v2 payload
+// modes. SetBytes is the v1-equivalent payload in every variant so the
 // MB/s figures compare like for like.
 func BenchmarkMarshalHot(b *testing.B) {
 	s := marshalFixture(b)
 	v1Bytes := int64(trace.V1Size(s))
-	b.Run("v1", func(b *testing.B) {
-		b.SetBytes(v1Bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.MarshalV1()
-		}
-	})
 	b.Run("v2raw", func(b *testing.B) {
 		b.SetBytes(v1Bytes)
 		b.ReportAllocs()
@@ -44,7 +37,8 @@ func BenchmarkMarshalHot(b *testing.B) {
 	})
 }
 
-// BenchmarkUnmarshalHot measures session parsing for each format.
+// BenchmarkUnmarshalHot measures session parsing for both v2 payload
+// modes.
 func BenchmarkUnmarshalHot(b *testing.B) {
 	s := marshalFixture(b)
 	v1Bytes := int64(trace.V1Size(s))
@@ -52,7 +46,6 @@ func BenchmarkUnmarshalHot(b *testing.B) {
 		name string
 		blob []byte
 	}{
-		{"v1", s.MarshalV1()},
 		{"v2raw", s.MarshalMode(trace.EncodeRaw)},
 		{"v2packed", s.Marshal()},
 	} {
@@ -73,7 +66,7 @@ func BenchmarkUnmarshalHot(b *testing.B) {
 func TestMarshalFixtureCompression(t *testing.T) {
 	prog := Program(1)
 	s := Session(prog, 1, 4_000_000)
-	v1 := s.MarshalV1()
+	v1 := trace.V1Size(s)
 	v2 := s.Marshal()
 	if got, err := trace.UnmarshalSession(v2); err != nil {
 		t.Fatal(err)
@@ -84,8 +77,8 @@ func TestMarshalFixtureCompression(t *testing.T) {
 			}
 		}
 	}
-	ratio := float64(len(v1)) / float64(len(v2))
+	ratio := float64(v1) / float64(len(v2))
 	if ratio < 3 {
-		t.Fatalf("compression ratio %.2fx < 3x (v1 %d, v2 %d)", ratio, len(v1), len(v2))
+		t.Fatalf("compression ratio %.2fx < 3x (v1 %d, v2 %d)", ratio, v1, len(v2))
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"exist/internal/sched"
-	"exist/internal/simtime"
 	"exist/internal/xrand"
 )
 
@@ -60,16 +59,6 @@ type Plan struct {
 	TotalBytes int64
 	// SampleRatio is the achieved TCS/MCS ratio.
 	SampleRatio float64
-}
-
-// Has reports whether core is in the plan.
-func (p *Plan) Has(core int) bool {
-	for i := range p.Cores {
-		if p.Cores[i].Core == core {
-			return true
-		}
-	}
-	return false
 }
 
 // PlanBuffers computes the traced core set and buffer sizes for target on
@@ -212,13 +201,4 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// WindowUtil reports a core's busy fraction over a window, the node
-// status signal UMA consumes (exported for experiments and tests).
-func WindowUtil(busy, window simtime.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(busy) / float64(window)
 }

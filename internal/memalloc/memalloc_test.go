@@ -1,6 +1,7 @@
 package memalloc
 
 import (
+	"slices"
 	"testing"
 
 	"exist/internal/sched"
@@ -102,24 +103,8 @@ func TestCPUSharePrefersRunningCores(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SampleRatio = 0.25
 	plan := PlanBuffers(m, p, cfg, xrand.New(4))
-	if lc := th.LastCore(); lc >= 0 && !plan.Has(lc) {
+	if lc := th.LastCore(); lc >= 0 && !slices.ContainsFunc(plan.Cores, func(c CorePlan) bool { return c.Core == lc }) {
 		t.Fatalf("plan %v misses the thread's current core %d", plan.Cores, lc)
-	}
-}
-
-func TestPlanHas(t *testing.T) {
-	p := Plan{Cores: []CorePlan{{Core: 3}, {Core: 7}}}
-	if !p.Has(3) || !p.Has(7) || p.Has(5) {
-		t.Fatal("Plan.Has wrong")
-	}
-}
-
-func TestWindowUtil(t *testing.T) {
-	if WindowUtil(50, 100) != 0.5 {
-		t.Fatal("WindowUtil wrong")
-	}
-	if WindowUtil(50, 0) != 0 {
-		t.Fatal("WindowUtil must handle zero window")
 	}
 }
 

@@ -137,8 +137,8 @@ func TestBarRendering(t *testing.T) {
 
 func TestEmptyReportInputs(t *testing.T) {
 	prog := binary.Synthesize(binary.DefaultSpec("empty", 1))
-	rec := decode.DecodeStream(prog, nil, 0, nil)
 	sess := &trace.Session{Workload: "empty", Scale: 1}
+	rec := decode.Decode(sess, prog)
 	out := Build(rec, prog, sess, Options{})
 	if !strings.Contains(out, "EXIST behaviour report — empty") {
 		t.Fatalf("header missing for empty input:\n%s", out)

@@ -60,16 +60,6 @@ type entry struct {
 	val  *value
 }
 
-// get returns the value for key, or nil.
-func (v *value) get(key string) *value {
-	for i := range v.m {
-		if v.m[i].key == key {
-			return v.m[i].val
-		}
-	}
-	return nil
-}
-
 // Error is a parse or validation failure tied to a source location.
 type Error struct {
 	// Src is the document name (file path or logical name).

@@ -59,9 +59,6 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// Pct renders a fraction as a percentage string.
-func Pct(frac float64) string { return fmt.Sprintf("%.2f%%", frac*100) }
-
 const spaces = "                                                                                                    " // 100
 
 // writePad writes n spaces without allocating for the common short case.

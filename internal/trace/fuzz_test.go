@@ -1,22 +1,29 @@
 package trace
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"testing"
 
 	"exist/internal/kernel"
 	"exist/internal/simtime"
 )
 
-// FuzzUnmarshalSession throws arbitrary bytes at the session parser.
+// FuzzUnmarshalSession throws arbitrary bytes at the session parsers.
 // Both wire formats must reject malformed input with an error — never a
 // panic — and must not size allocations from unvalidated length fields
 // (every make is capped by the remaining reader length, so a lying
 // length can at worst cost a small multiple of the input size).
 //
+// The blob reader (UnmarshalSession) and the stream reader
+// (DecodeSessionFrom, fed whole and one byte per Read) must agree on
+// every input: both fail, or both return the same session.
+//
 // Run with: go test -fuzz=FuzzUnmarshalSession ./internal/trace
 // The checked-in corpus under testdata/fuzz seeds valid v1 and v2 blobs
 // so mutation starts from deep in the format, plus hand-picked hostile
-// shapes (truncations, lying lengths, huge counts).
+// shapes (truncations, lying lengths, huge counts, trailing bytes).
 func FuzzUnmarshalSession(f *testing.F) {
 	s := &Session{
 		ID: "fuzz", Node: "n0", Workload: "w", PID: 7,
@@ -30,9 +37,13 @@ func FuzzUnmarshalSession(f *testing.F) {
 			{TS: simtime.Time(180), CPU: 1, PID: 7, TID: 8, Op: kernel.OpOut},
 		}},
 	}
+	v1, err := os.ReadFile(v1GoldenPath)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(s.Marshal())
 	f.Add(s.MarshalMode(EncodeRaw))
-	f.Add(s.MarshalV1())
+	f.Add(v1)
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x49, 0x58, 0x45}) // v1 magic alone
 	f.Add([]byte{0x32, 0x49, 0x58, 0x45}) // v2 magic alone
@@ -46,7 +57,24 @@ func FuzzUnmarshalSession(f *testing.F) {
 			// A session that decodes must re-encode: the writer must not
 			// be panicable from parser-accepted state.
 			_ = got.Marshal()
-			_ = got.MarshalV1()
+			_ = V1Size(got)
+		}
+		for _, rd := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"whole", bytes.NewReader(data)},
+			{"one-byte", &oneByteReader{data: data}},
+		} {
+			sgot, serr := DecodeSessionFrom(rd.r)
+			switch {
+			case (err == nil) != (serr == nil):
+				t.Fatalf("%s stream disagrees: blob err %v, stream err %v", rd.name, err, serr)
+			case err == nil:
+				if d := sessionDiff(got, sgot); d != "" {
+					t.Fatalf("%s stream disagrees with blob: %s", rd.name, d)
+				}
+			}
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 // Two formats exist on the wire. The legacy v1 layout is a flat tagged
 // little-endian dump (magic "EXIS"); the current v2 layout (magic "EXI2",
 // serialize_v2.go) adds varint/delta encoding, a string dictionary, and
-// per-core block framing. Marshal writes v2; UnmarshalSession dispatches
+// per-core block framing. Only v2 is written; UnmarshalSession dispatches
 // on the magic, so v1 sessions written by older builds still decode.
 
 const (
@@ -25,8 +25,8 @@ const (
 )
 
 // V1Size returns the exact encoded size of the session in the v1 layout.
-// The cluster ledger uses it to report v1-equivalent volume next to the
-// bytes actually shipped, and MarshalV1 uses it to allocate exactly once.
+// The cluster ledger and the datapath table use it to report
+// v1-equivalent volume next to the bytes actually shipped.
 func V1Size(s *Session) int {
 	n := 4 // magic
 	n += 4 + len(s.ID)
@@ -38,45 +38,6 @@ func V1Size(s *Session) int {
 	}
 	n += 4 + len(s.Switches.Records)*kernel.RecordSize
 	return n
-}
-
-// MarshalV1 serializes the session in the legacy v1 layout.
-func (s *Session) MarshalV1() []byte {
-	w := make([]byte, 0, V1Size(s))
-	w = wire.AppendU32(w, sessionMagicV1)
-	w = appendV1String(w, s.ID)
-	w = appendV1String(w, s.Node)
-	w = appendV1String(w, s.Workload)
-	w = wire.AppendU32(w, uint32(s.PID))
-	w = wire.AppendU64(w, uint64(s.Start))
-	w = wire.AppendU64(w, uint64(s.End))
-	w = wire.AppendU64(w, math.Float64bits(s.Scale))
-	w = wire.AppendU32(w, uint32(len(s.Cores)))
-	for i := range s.Cores {
-		c := &s.Cores[i]
-		w = wire.AppendU32(w, uint32(c.Core))
-		flags := uint8(0)
-		if c.Wrapped {
-			flags |= 1
-		}
-		if c.Stopped {
-			flags |= 2
-		}
-		w = append(w, flags)
-		w = wire.AppendU64(w, uint64(c.DroppedBytes))
-		w = wire.AppendU32(w, uint32(len(c.Data)))
-		w = append(w, c.Data...)
-	}
-	w = wire.AppendU32(w, uint32(len(s.Switches.Records)*kernel.RecordSize))
-	for _, rec := range s.Switches.Records {
-		w = rec.AppendBinary(w)
-	}
-	return w
-}
-
-func appendV1String(w []byte, s string) []byte {
-	w = wire.AppendU32(w, uint32(len(s)))
-	return append(w, s...)
 }
 
 func getV1String(r *wire.Reader) string {

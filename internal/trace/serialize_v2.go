@@ -67,7 +67,7 @@ const (
 
 // Marshal serializes the session in the v2 format with packed core
 // payloads. Use MarshalMode(EncodeRaw) when encode speed matters more
-// than wire size, and MarshalV1 for the legacy layout.
+// than wire size.
 func (s *Session) Marshal() []byte {
 	return s.MarshalMode(EncodePacked)
 }
@@ -249,15 +249,51 @@ func (s *Session) encodeV2(mode EncodeMode, emit func([]byte) error) error {
 
 // unmarshalV2 parses a v2 blob. Raw core payloads alias data.
 func unmarshalV2(data []byte) (*Session, error) {
-	r := wire.NewReader(data)
-	r.U32() // magic, already checked
+	src := v2Blocks{blob: *wire.NewReader(data)}
+	src.blob.U32() // magic, already checked
+	return readV2(&src)
+}
+
+// v2Blocks yields the framed blocks of a v2 session from an in-memory
+// blob (bodies alias it) or, when br is set, from a stream. A concrete
+// type rather than an interface, so a blob read allocates nothing for it.
+type v2Blocks struct {
+	blob wire.Reader
+	br   *bufio.Reader
+}
+
+// next reads a block's tag and length.
+func (b *v2Blocks) next() (tag byte, n uint64, err error) {
+	if b.br == nil {
+		tag, n = b.blob.U8(), b.blob.Uvarint()
+		return tag, n, b.blob.Err()
+	}
+	if tag, err = b.br.ReadByte(); err != nil {
+		return 0, 0, fmt.Errorf("trace: reading v2 block tag: %w", err)
+	}
+	n, err = readStreamUvarint(b.br)
+	return tag, n, err
+}
+
+// body reads the n-byte payload of the block next just framed.
+func (b *v2Blocks) body(n uint64) ([]byte, error) {
+	if b.br == nil {
+		body := b.blob.Bytes(int(n))
+		return body, b.blob.Err()
+	}
+	return readStreamBody(b.br, n)
+}
+
+// readV2 applies the v2 block grammar to the blocks after the magic: the
+// header comes first and only once, core blocks never outnumber the
+// declared core count, the end block has length 0, and unknown tags are
+// skipped by their length.
+func readV2(src *v2Blocks) (*Session, error) {
 	s := &Session{}
 	sawHeader := false
-	coreBlocks := 0
 	for {
-		tag := r.U8()
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		tag, n, err := src.next()
+		if err != nil {
 			return nil, err
 		}
 		if tag == blockEnd {
@@ -269,8 +305,8 @@ func unmarshalV2(data []byte) (*Session, error) {
 			}
 			return s, nil
 		}
-		body := r.Bytes(int(n))
-		if err := r.Err(); err != nil {
+		body, err := src.body(n)
+		if err != nil {
 			return nil, err
 		}
 		switch tag {
@@ -286,27 +322,24 @@ func unmarshalV2(data []byte) (*Session, error) {
 			if !sawHeader {
 				return nil, fmt.Errorf("trace: v2 core block before header")
 			}
-			if coreBlocks >= cap(s.Cores) {
+			if len(s.Cores) >= cap(s.Cores) {
 				return nil, fmt.Errorf("trace: more core blocks than declared %d", cap(s.Cores))
 			}
 			prev := int64(0)
-			if coreBlocks > 0 {
-				prev = int64(s.Cores[coreBlocks-1].Core)
+			if len(s.Cores) > 0 {
+				prev = int64(s.Cores[len(s.Cores)-1].Core)
 			}
 			ct, err := parseV2Core(body, prev)
 			if err != nil {
 				return nil, err
 			}
 			s.Cores = append(s.Cores, ct)
-			coreBlocks++
 		case blockSwitches:
 			log, err := parseV2Switches(body)
 			if err != nil {
 				return nil, err
 			}
 			s.Switches = *log
-		default:
-			// Unknown block: skipped (already consumed by Bytes).
 		}
 	}
 }
@@ -481,69 +514,9 @@ func DecodeSessionFrom(rd io.Reader) (*Session, error) {
 		}
 		return unmarshalV1(append(magicBuf[:], rest...))
 	case sessionMagicV2:
-		// Fall through to the block reader below.
+		return readV2(&v2Blocks{br: br})
 	default:
 		return nil, fmt.Errorf("trace: bad session magic %#x", magic)
-	}
-
-	s := &Session{}
-	sawHeader := false
-	coreBlocks := 0
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading v2 block tag: %w", err)
-		}
-		n, err := readStreamUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if tag == blockEnd {
-			if n != 0 {
-				return nil, fmt.Errorf("trace: v2 end block with length %d", n)
-			}
-			if !sawHeader {
-				return nil, fmt.Errorf("trace: v2 session missing header block")
-			}
-			return s, nil
-		}
-		body, err := readStreamBody(br, n)
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case blockHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("trace: duplicate v2 header block")
-			}
-			sawHeader = true
-			if err := parseV2Header(s, body); err != nil {
-				return nil, err
-			}
-		case blockCore:
-			if !sawHeader {
-				return nil, fmt.Errorf("trace: v2 core block before header")
-			}
-			if coreBlocks >= cap(s.Cores) {
-				return nil, fmt.Errorf("trace: more core blocks than declared %d", cap(s.Cores))
-			}
-			prev := int64(0)
-			if coreBlocks > 0 {
-				prev = int64(s.Cores[coreBlocks-1].Core)
-			}
-			ct, err := parseV2Core(body, prev)
-			if err != nil {
-				return nil, err
-			}
-			s.Cores = append(s.Cores, ct)
-			coreBlocks++
-		case blockSwitches:
-			log, err := parseV2Switches(body)
-			if err != nil {
-				return nil, err
-			}
-			s.Switches = *log
-		}
 	}
 }
 

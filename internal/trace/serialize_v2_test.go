@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"exist/internal/ipt"
@@ -63,27 +67,36 @@ func testSession(seed int64) *Session {
 
 func sessionsEqual(t *testing.T, want, got *Session) {
 	t.Helper()
+	if d := sessionDiff(want, got); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// sessionDiff describes the first difference between two sessions, or
+// returns "" when they are equal. Nil and empty slices compare equal.
+func sessionDiff(want, got *Session) string {
 	if want.ID != got.ID || want.Node != got.Node || want.Workload != got.Workload ||
 		want.PID != got.PID || want.Start != got.Start || want.End != got.End ||
-		want.Scale != got.Scale {
-		t.Fatalf("header mismatch:\nwant %+v\ngot  %+v", want, got)
+		math.Float64bits(want.Scale) != math.Float64bits(got.Scale) {
+		return fmt.Sprintf("header mismatch:\nwant %+v\ngot  %+v", want, got)
 	}
 	if len(want.Cores) != len(got.Cores) {
-		t.Fatalf("core count: want %d got %d", len(want.Cores), len(got.Cores))
+		return fmt.Sprintf("core count: want %d got %d", len(want.Cores), len(got.Cores))
 	}
 	for i := range want.Cores {
 		w, g := &want.Cores[i], &got.Cores[i]
 		if w.Core != g.Core || w.Wrapped != g.Wrapped || w.Stopped != g.Stopped ||
 			w.DroppedBytes != g.DroppedBytes {
-			t.Fatalf("core %d meta mismatch: want %+v got %+v", i, w, g)
+			return fmt.Sprintf("core %d meta mismatch: want %+v got %+v", i, w, g)
 		}
 		if !bytes.Equal(w.Data, g.Data) {
-			t.Fatalf("core %d data mismatch (%d vs %d bytes)", i, len(w.Data), len(g.Data))
+			return fmt.Sprintf("core %d data mismatch (%d vs %d bytes)", i, len(w.Data), len(g.Data))
 		}
 	}
-	if !reflect.DeepEqual(want.Switches.Records, got.Switches.Records) {
-		t.Fatalf("switch log mismatch")
+	if !slices.Equal(want.Switches.Records, got.Switches.Records) {
+		return "switch log mismatch"
 	}
+	return ""
 }
 
 func TestV2RoundTripPacked(t *testing.T) {
@@ -127,34 +140,49 @@ func TestV2RawUnmarshalAliasesBlob(t *testing.T) {
 	}
 }
 
-func TestV1RoundTrip(t *testing.T) {
-	s := testSession(4)
-	blob := s.MarshalV1()
-	if len(blob) != V1Size(s) {
-		t.Fatalf("V1Size %d != len(MarshalV1) %d", V1Size(s), len(blob))
+// v1GoldenPath holds testSession(4) in the legacy v1 layout, written by
+// the v1 writer before it was retired; v1EmptyGoldenPath holds an empty
+// session. Old dumps must keep decoding to the same sessions.
+const (
+	v1GoldenPath      = "testdata/session_v1.bin"
+	v1EmptyGoldenPath = "testdata/session_v1_empty.bin"
+)
+
+// checkV1Golden decodes the v1 blob at path through both the slice and
+// the stream decoder and compares it with want.
+func checkV1Golden(t *testing.T, path string, want *Session) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) != V1Size(want) {
+		t.Fatalf("%s: V1Size %d != blob length %d", path, V1Size(want), len(blob))
 	}
 	got, err := UnmarshalSession(blob)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", path, err)
 	}
-	sessionsEqual(t, s, got)
+	sessionsEqual(t, want, got)
+	got, err = DecodeSessionFrom(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	sessionsEqual(t, want, got)
+}
+
+func TestV1RoundTrip(t *testing.T) {
+	checkV1Golden(t, v1GoldenPath, testSession(4))
 }
 
 func TestV1EmptySession(t *testing.T) {
-	s := &Session{}
-	got, err := UnmarshalSession(s.MarshalV1())
+	checkV1Golden(t, v1EmptyGoldenPath, &Session{})
+	got, err := UnmarshalSession((&Session{}).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Cores) != 0 || len(got.Switches.Records) != 0 {
-		t.Fatalf("empty session decoded as %+v", got)
-	}
-	got2, err := UnmarshalSession(s.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2.Cores) != 0 {
-		t.Fatalf("empty v2 session decoded as %+v", got2)
+	if len(got.Cores) != 0 {
+		t.Fatalf("empty v2 session decoded as %+v", got)
 	}
 }
 
@@ -173,12 +201,19 @@ func TestEncodeToMatchesMarshal(t *testing.T) {
 
 func TestDecodeSessionFromStream(t *testing.T) {
 	s := testSession(6)
-	for _, blob := range [][]byte{s.Marshal(), s.MarshalMode(EncodeRaw), s.MarshalV1()} {
-		got, err := DecodeSessionFrom(bytes.NewReader(blob))
+	v1, err := os.ReadFile(v1GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		want *Session
+		blob []byte
+	}{{s, s.Marshal()}, {s, s.MarshalMode(EncodeRaw)}, {testSession(4), v1}} {
+		got, err := DecodeSessionFrom(bytes.NewReader(c.blob))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessionsEqual(t, s, got)
+		sessionsEqual(t, c.want, got)
 	}
 	// One byte at a time: block framing must not depend on read sizes.
 	got, err := DecodeSessionFrom(&oneByteReader{data: s.Marshal()})

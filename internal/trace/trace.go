@@ -149,12 +149,3 @@ func (g *GroundTruth) Record(tid int32, now simtime.Time, ev binary.BranchEvent)
 		}
 	}
 }
-
-// Total returns the number of recorded events.
-func (g *GroundTruth) Total() int64 {
-	var n int64
-	for _, evs := range g.ByThread {
-		n += int64(len(evs))
-	}
-	return n
-}

@@ -47,16 +47,6 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
-// UvarintLen returns the encoded size of v.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // Zigzag maps a signed value to an unsigned one with small absolute
 // values staying small (0,-1,1,-2 -> 0,1,2,3).
 func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -68,9 +58,6 @@ func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 func AppendZigzag(dst []byte, v int64) []byte {
 	return AppendUvarint(dst, Zigzag(v))
 }
-
-// ZigzagLen returns the encoded size of v as a zigzag varint.
-func ZigzagLen(v int64) int { return UvarintLen(Zigzag(v)) }
 
 // Reader is a bounds-checked cursor over a byte slice with a sticky
 // error: after the first short read every accessor returns zero values,
@@ -90,9 +77,6 @@ func (r *Reader) Err() error { return r.err }
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
-
-// Offset returns the number of consumed bytes.
-func (r *Reader) Offset() int { return r.off }
 
 // fail records the first error.
 func (r *Reader) fail(format string, args ...any) {
